@@ -88,8 +88,9 @@ def cmd_compile(args):
 
 
 def cmd_subtype(args):
-    t1 = _load_type(args.left)
-    t2 = _load_type(args.right)
+    # canonical inputs let subtype and derive skip their own canonicalization
+    t1 = canonicalize(_load_type(args.left))
+    t2 = canonicalize(_load_type(args.right))
     verdict = subtype(t1, t2, memo_limit=args.memo_limit)
     if args.format == "json":
         data = {"subtype": verdict}

@@ -10,11 +10,22 @@ True results whose justification is fully contained in the subtree below
 the node are cached for the rest of the call; provisional trues (those
 leaning on a cycle to a node still under exploration) and all false
 results are recomputed, since they may depend on the path.
+
+inhabited answers the same question for every node of a closure in one
+pass, for callers that ask about many nodes of one type.
 """
 
 from bisect import bisect_left
 
-from coinfer.term_core import IntType, IntValue, ObjType, ObjValue, UnionType
+from coinfer.term_core import (
+    IntType,
+    IntValue,
+    ObjType,
+    ObjValue,
+    UnionType,
+    _scc_order,
+    subterm_closure,
+)
 
 _INF = float("inf")
 
@@ -24,32 +35,31 @@ class PathStack:
 
     Tracks, alongside the entries, the positions of object entries in
     ascending order; a cycle back to position q is contractive iff the
-    deepest object position is at least q.
+    deepest object position is at least q.  Entries live in flat lists,
+    so a push allocates no container of its own.
     """
 
     def __init__(self):
-        self.entries = []   # (uid, is_obj, position)
+        self._uids = []     # uid of the entry at each position
         self._pos = {}      # uid -> position
         self._objs = []     # ascending positions of object entries
         self._vals = []     # pending object values, parallel to _objs
 
     def __len__(self):
-        return len(self.entries)
+        return len(self._uids)
 
     def push(self, node, pending=None):
-        pos = len(self.entries)
-        is_obj = isinstance(node, (ObjType, ObjValue))
-        self.entries.append((node.uid, is_obj, pos))
+        pos = len(self._uids)
+        self._uids.append(node.uid)
         self._pos[node.uid] = pos
-        if is_obj:
+        if isinstance(node, (ObjType, ObjValue)):
             self._objs.append(pos)
             self._vals.append(pending)
         return pos
 
     def pop(self):
-        uid, is_obj, _ = self.entries.pop()
-        del self._pos[uid]
-        if is_obj:
+        del self._pos[self._uids.pop()]
+        if self._objs and self._objs[-1] == len(self._uids):
             self._objs.pop()
             self._vals.pop()
 
@@ -69,75 +79,99 @@ class PathStack:
         return self._vals[bisect_left(self._objs, self._pos[uid])]
 
 
-def _expand(node, pending):
-    """Generator protocol: yields children, receives (ok, lowlink, value),
-    returns the node's own triple."""
-    if isinstance(node, UnionType):
-        ok, low, val = yield node.left
-        if ok:
-            return (True, low, val)
-        return (yield node.right)
-    low = _INF
-    for f in sorted(node.fields):
-        ok, l, val = yield node.fields[f]
-        if not ok:
-            return (False, _INF, None)
-        low = min(low, l)
-        if pending is not None:
-            pending.fields[f] = val
-    return (True, low, pending)
-
-
 def _search(root, build_value):
+    """(verdict, witness or None, visit count) for root.
+
+    Open nodes sit on an explicit stack kept as parallel flat lists
+    (node, path position, sorted field names, next child, lowlink,
+    pending value), so that a deep walk leaves few containers for the
+    cyclic garbage collector to rescan.  A child's result (ok, lowlink,
+    value) is folded into the top frame: a union answers with its first
+    inhabited branch, an object fails on its first empty field and
+    otherwise takes the least lowlink.  The lowlink is the path position
+    of the deepest cycle target a true result leans on, or infinity when
+    it leans on none; a true result whose lowlink is not above its own
+    position is context-free and memoized.
+    """
     path = PathStack()
     memo = {}  # uid -> witness value (or None); only context-free trues
     visits = 0
-
-    def enter(node):
-        nonlocal visits
+    nodes, positions, names, nexts, lows, pendings = [], [], [], [], [], []
+    node = root
+    while True:
         visits += 1
-        if node.uid in memo:
-            return ("done", (True, _INF, memo[node.uid]))
-        if path.position_of(node.uid) is not None:
-            if path.is_contractive(node.uid):
-                val = path.knot_value(node.uid) if build_value else None
-                return ("done", (True, path.position_of(node.uid), val))
-            return ("done", (False, _INF, None))
-        if isinstance(node, IntType):
-            return ("done", (True, _INF, IntValue(0) if build_value else None))
-        pending = None
-        if build_value and isinstance(node, ObjType):
-            pending = ObjValue(node.class_name)
-            pending.fields = {}
-        pos = path.push(node, pending)
-        return ("run", (_expand(node, pending), node, pos))
-
-    kind, payload = enter(root)
-    if kind == "done":
-        return payload[0], payload[2], visits
-
-    stack = [payload]
-    sent = None
-    while stack:
-        gen, node, pos = stack[-1]
-        try:
-            child = gen.send(sent) if sent is not None else next(gen)
-        except StopIteration as fin:
-            ok, low, val = fin.value
-            path.pop()
-            stack.pop()
-            if ok and low >= pos:
-                memo[node.uid] = val
-                low = _INF
-            sent = (ok, low, val)
-            continue
-        kind, payload = enter(child)
-        if kind == "done":
-            sent = payload
+        uid = node.uid
+        at = path.position_of(uid)
+        if uid in memo:
+            ok, low, val = True, _INF, memo[uid]
+        elif at is not None:
+            if path.is_contractive(uid):
+                ok, low, val = True, at, path.knot_value(uid) if build_value else None
+            else:
+                ok, low, val = False, _INF, None
+        elif isinstance(node, IntType):
+            ok, low, val = True, _INF, IntValue(0) if build_value else None
         else:
-            stack.append(payload)
-            sent = None
-    return sent[0], sent[2], visits
+            pending = None
+            if isinstance(node, UnionType):
+                keys = None
+                first = node.left
+            else:
+                if build_value:
+                    pending = ObjValue(node.class_name)
+                    pending.fields = {}
+                # a tuple of strings drops out of the collector's view
+                keys = tuple(sorted(node.fields))
+                first = node.fields[keys[0]] if keys else None
+            pos = path.push(node, pending)
+            if first is not None:
+                nodes.append(node)
+                positions.append(pos)
+                names.append(keys)
+                nexts.append(0)
+                lows.append(_INF)
+                pendings.append(pending)
+                node = first
+                continue
+            path.pop()
+            memo[uid] = pending
+            ok, low, val = True, _INF, pending
+        # fold the result into the open frames until one has a child to visit
+        while nodes:
+            top = nodes[-1]
+            keys = names[-1]
+            if keys is None:  # union: the left branch failed, try the right
+                if not ok and nexts[-1] == 0:
+                    nexts[-1] = 1
+                    node = top.right
+                    break
+            elif not ok:
+                low, val = _INF, None
+            else:
+                if low < lows[-1]:
+                    lows[-1] = low
+                pending = pendings[-1]
+                i = nexts[-1]
+                if pending is not None:
+                    pending.fields[keys[i]] = val
+                i += 1
+                if i < len(keys):
+                    nexts[-1] = i
+                    node = top.fields[keys[i]]
+                    break
+                low, val = lows[-1], pending
+            nodes.pop()
+            names.pop()
+            nexts.pop()
+            lows.pop()
+            pendings.pop()
+            path.pop()
+            pos = positions.pop()
+            if ok and low >= pos:
+                memo[top.uid] = val
+                low = _INF
+        else:
+            return ok, val, visits
 
 
 def not_empty(t):
@@ -156,3 +190,52 @@ def witness(t):
     """An inhabitant of t (possibly cyclic), or None if t is empty."""
     ok, val, _ = _search(t, build_value=True)
     return val if ok else None
+
+
+def inhabited(t):
+    """The uids of the inhabited nodes of t's closure, in one linear pass.
+
+    This is the greatest set where int is inhabited, an object is when
+    all of its fields are, and a union is when it reaches an inhabited
+    non-union along union edges alone.  The union-only edges are
+    condensed into strongly connected components; a component lives
+    while one of its exits (edges leaving it) does, so starting from
+    everything alive, deaths propagate along reversed edges: an object
+    dies with any field, a component when its count of live exits hits
+    zero.  A component without exits (``B = B \\/ B``) is dead at once.
+    """
+    nodes = {n.uid: n for n in subterm_closure(t)}
+    unions = [n.uid for n in nodes.values() if isinstance(n, UnionType)]
+    union_kids = {u: [c.uid for c in (nodes[u].left, nodes[u].right)
+                      if isinstance(c, UnionType)] for u in unions}
+    rep = {}  # uid -> its component's key; components get negative keys
+    for k, scc in enumerate(_scc_order(unions, union_kids)):
+        for u in scc:
+            rep[u] = -1 - k
+    waiting = {}  # key -> dependents to notify when it dies
+    live_exits = {}
+    for u in unions:
+        key = rep[u]
+        live_exits.setdefault(key, 0)
+        for c in (nodes[u].left, nodes[u].right):
+            target = rep.get(c.uid, c.uid)
+            if target != key:
+                live_exits[key] += 1
+                waiting.setdefault(target, []).append(key)
+    for n in nodes.values():
+        if isinstance(n, ObjType):
+            for c in n.fields.values():
+                waiting.setdefault(rep.get(c.uid, c.uid), []).append(n.uid)
+    dying = [key for key, count in live_exits.items() if count == 0]
+    dead = set(dying)
+    while dying:
+        for p in waiting.get(dying.pop(), ()):
+            if p in dead:
+                continue
+            if p < 0:
+                live_exits[p] -= 1
+                if live_exits[p]:
+                    continue
+            dead.add(p)
+            dying.append(p)
+    return {u for u in nodes if rep.get(u, u) not in dead}

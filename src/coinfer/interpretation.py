@@ -14,7 +14,7 @@ walks over the inhabited part of the type graph.
 import random
 from collections import deque
 
-from coinfer.emptiness import not_empty, witness
+from coinfer.emptiness import inhabited, witness
 from coinfer.term_core import (
     BudgetExceeded,
     IntType,
@@ -120,18 +120,18 @@ def member(v, t, limit=DEFAULT_LIMIT):
 # ---------------------------------------------------------------------------
 # sampling
 
-def _viable_children(node, nonempty):
+def _viable_children(node, live):
     if isinstance(node, UnionType):
-        return [c for c in (node.left, node.right) if nonempty[c.uid]]
+        return [c for c in (node.left, node.right) if c.uid in live]
     if isinstance(node, ObjType):
         return [node.fields[f] for f in sorted(node.fields)]
     return []
 
 
-def _find_obj_cycle(t, nonempty):
+def _find_obj_cycle(t, live):
     """A reachable object node that can reach itself through inhabited
     nodes; returns the forced route t -> ... -> O -> ... -> O, or None."""
-    reach = sorted((n for n in subterm_closure(t) if nonempty[n.uid]),
+    reach = sorted((n for n in subterm_closure(t) if n.uid in live),
                    key=lambda n: n.uid)
 
     def bfs(starts, goal_uid):
@@ -145,7 +145,7 @@ def _find_obj_cycle(t, nonempty):
                 while out[-1].uid in parents:
                     out.append(parents[out[-1].uid])
                 return list(reversed(out))
-            for c in _viable_children(n, nonempty):
+            for c in _viable_children(n, live):
                 if c.uid not in seen:
                     seen.add(c.uid)
                     parents[c.uid] = n
@@ -155,7 +155,7 @@ def _find_obj_cycle(t, nonempty):
     for node in reach:
         if not isinstance(node, ObjType):
             continue
-        back = bfs(_viable_children(node, nonempty), node.uid)
+        back = bfs(_viable_children(node, live), node.uid)
         if back is None:
             continue
         entry = bfs([t], node.uid)
@@ -164,13 +164,13 @@ def _find_obj_cycle(t, nonempty):
     return None
 
 
-def _forced_cyclic(t, nonempty, wit):
+def _forced_cyclic(t, live, wit):
     """A member of t whose value graph is cyclic, or None if t has none.
 
     Follows a route ending in a repeated object node; the repeat ties the
     knot, fields off the route take witness values.
     """
-    route = _find_obj_cycle(t, nonempty)
+    route = _find_obj_cycle(t, live)
     if route is None:
         return None
     knot_uid = route[-1].uid
@@ -198,30 +198,46 @@ def _forced_cyclic(t, nonempty, wit):
     return build(0)
 
 
-def _random_walk(t, rng, nonempty, wit, max_nodes=60):
+WALK_BUDGET = 60
+
+
+def _random_walk(t, rng, live, wit, max_nodes):
+    """One random member of t: union sides, integers and whether to tie a
+    knot back to an object still under construction are drawn from rng;
+    after max_nodes steps every remaining position takes its witness."""
+    budget = max_nodes
     pending = {}  # type uid -> stack of object values under construction
-    budget = [max_nodes]
-
-    def go(node):
-        budget[0] -= 1
-        if budget[0] <= 0:
-            return wit(node)
-        if isinstance(node, IntType):
-            return IntValue(rng.randint(-999, 999))
-        if isinstance(node, UnionType):
-            return go(rng.choice(_viable_children(node, nonempty)))
-        here = pending.get(node.uid)
-        if here and rng.random() < 0.25:
-            return here[-1]
-        val = ObjValue(node.class_name)
-        val.fields = {}
-        pending.setdefault(node.uid, []).append(val)
-        for f in sorted(node.fields):
-            val.fields[f] = go(node.fields[f])
-        pending[node.uid].pop()
-        return val
-
-    return go(t)
+    stack = []    # (object type, its value, field names still to fill)
+    node = t
+    while True:
+        budget -= 1
+        if budget <= 0:
+            val = wit(node)
+        elif isinstance(node, IntType):
+            val = IntValue(rng.randint(-999, 999))
+        elif isinstance(node, UnionType):
+            node = rng.choice(_viable_children(node, live))
+            continue
+        elif pending.get(node.uid) and rng.random() < 0.25:
+            val = pending[node.uid][-1]
+        else:
+            val = ObjValue(node.class_name)
+            val.fields = {}
+            pending.setdefault(node.uid, []).append(val)
+            stack.append((node, val, deque(sorted(node.fields))))
+            val = None
+        while stack:
+            obj, into, todo = stack[-1]
+            if val is not None:
+                into.fields[todo.popleft()] = val
+            if todo:
+                break
+            stack.pop()
+            pending[obj.uid].pop()
+            val = into
+        if not stack:
+            return val
+        node = obj.fields[todo[0]]
 
 
 def sample_values(t, count, seed):
@@ -231,8 +247,8 @@ def sample_values(t, count, seed):
     admits one, then random walks.  Raises ValueError on an empty type.
     Every emitted value is re-checked with member.
     """
-    nonempty = {n.uid: not_empty(n) for n in subterm_closure(t)}
-    if not nonempty[t.uid]:
+    live = inhabited(t)
+    if t.uid not in live:
         raise ValueError("cannot sample values of an empty type")
     if count <= 0:
         return []
@@ -259,9 +275,12 @@ def sample_values(t, count, seed):
 
     emit(wit(t))
     if len(out) < count:
-        emit(_forced_cyclic(t, nonempty, wit))
+        emit(_forced_cyclic(t, live, wit))
+    # one step more than the inhabited closure lets a walk reach every
+    # node of it, so deep leaves get random values too
+    budget = max(WALK_BUDGET, len(live) + 1)
     attempts = 0
     while len(out) < count and attempts < 30 * count:
         attempts += 1
-        emit(_random_walk(t, rng, nonempty, wit))
+        emit(_random_walk(t, rng, live, wit, budget))
     return out[:count]

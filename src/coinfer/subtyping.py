@@ -34,7 +34,7 @@ back-edge carries the set of rule labels on its cycle.
 import itertools
 from dataclasses import dataclass, field
 
-from coinfer.emptiness import not_empty
+from coinfer.emptiness import inhabited
 from coinfer.term_core import (
     BudgetExceeded,
     IntType,
@@ -181,13 +181,14 @@ class _RuleSpace:
         self.left_root = canonicalize(t1)
         self.right_root = canonicalize(t2)
         self.limit = limit
-        self.left_space = {n.uid for n in subterm_closure(self.left_root)}
+        left = subterm_closure(self.left_root)
+        self.left_space = {n.uid for n in left}
         self.right_space = {n.uid for n in subterm_closure(self.right_root)}
         self.variants = {}
-        for n in subterm_closure(self.left_root):
+        for n in left:
             if isinstance(n, ObjType):
                 self.variants[self._variant_key(n.class_name, n.fields)] = n
-        self.nonempty_cache = {}
+        self.live = inhabited(self.left_root)
         self.count = 0
 
     @staticmethod
@@ -205,17 +206,14 @@ class _RuleSpace:
             node = ObjType(l.class_name, fields)
             self.variants[key] = node
             self.left_space.add(node.uid)
+            if all(t.uid in self.live for t in fields.values()):
+                self.live.add(node.uid)
         return node
-
-    def _nonempty(self, t):
-        if t.uid not in self.nonempty_cache:
-            self.nonempty_cache[t.uid] = not_empty(t)
-        return self.nonempty_cache[t.uid]
 
     def _options(self, l, r):
         if isinstance(l, UnionType):
             return [(R_OR_L, [(l.left, r), (l.right, r)])]
-        if not self._nonempty(l):
+        if l.uid not in self.live:
             return [(R_EMPTY, [])]
         opts = []
         if isinstance(l, IntType):

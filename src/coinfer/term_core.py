@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import json as _json
+import re
+from collections import Counter
 from dataclasses import dataclass
 
 _uids = itertools.count(1)
@@ -194,70 +196,52 @@ class EquationSystem:
 # ---------------------------------------------------------------------------
 # scanner / parser
 
-_SYMBOLS = ("->", "\\/", "=", ";", "(", ")", "[", "]", ",", ":")
+# One alternative per token class; symbols come before integers so that
+# "->" is an arrow and "-3" a negative literal.  Comments do not advance
+# the column, which only shows in the position of a final EOF token.
+_TOKEN = re.compile(r"""
+    (?P<space>[ \t\r]+)
+  | (?P<newline>\n)
+  | (?P<comment>\#[^\n]*)
+  | (?P<symbol>->|\\/|[=;()\[\],:])
+  | (?P<word>[^\W\d]\w*)
+  | (?P<int>-?\d+)
+""", re.VERBOSE)
 
 
-class _Scanner:
-    def __init__(self, source):
-        self.src = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens = []
-        self._scan()
-
-    def _err(self, msg):
-        raise ParseError(msg, self.line, self.col)
-
-    def _scan(self):
-        src = self.src
-        n = len(src)
-        while self.pos < n:
-            c = src[self.pos]
-            if c == "#":
-                while self.pos < n and src[self.pos] != "\n":
-                    self.pos += 1
-                continue
-            if c in " \t\r\n":
-                self.pos += 1
-                if c == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                continue
-            start_line, start_col = self.line, self.col
-            for sym in _SYMBOLS:
-                if src.startswith(sym, self.pos):
-                    self.tokens.append((sym, sym, start_line, start_col))
-                    self.pos += len(sym)
-                    self.col += len(sym)
-                    break
-            else:
-                if c.isalpha() or c == "_":
-                    j = self.pos
-                    while j < n and (src[j].isalnum() or src[j] == "_"):
-                        j += 1
-                    word = src[self.pos:j]
-                    kind = "VAR" if word[0].isupper() else "IDENT"
-                    self.tokens.append((kind, word, start_line, start_col))
-                    self.col += j - self.pos
-                    self.pos = j
-                elif c.isdigit() or (c == "-" and self.pos + 1 < n and src[self.pos + 1].isdigit()):
-                    j = self.pos + 1
-                    while j < n and src[j].isdigit():
-                        j += 1
-                    self.tokens.append(("INT", src[self.pos:j], start_line, start_col))
-                    self.col += j - self.pos
-                    self.pos = j
-                else:
-                    self._err("unexpected character %r" % c)
-        self.tokens.append(("EOF", "", self.line, self.col))
+def _scan(src):
+    """Tokens (kind, text, line, col) of src, ending with an EOF token."""
+    tokens = []
+    line, line_start, col_end = 1, 0, 0
+    pos = 0
+    while pos < len(src):
+        m = _TOKEN.match(src, pos)
+        kind = m.lastgroup if m else None
+        # \w also matches numerals such as "½" and "²", which start no token
+        if kind is None or (kind == "word" and not (src[pos].isalpha() or src[pos] == "_")):
+            raise ParseError("unexpected character %r" % src[pos], line, pos - line_start + 1)
+        text = m.group()
+        col = pos - line_start + 1
+        pos = m.end()
+        if kind == "comment":
+            continue
+        col_end = pos
+        if kind == "newline":
+            line += 1
+            line_start = pos
+        elif kind == "symbol":
+            tokens.append((text, text, line, col))
+        elif kind == "word":
+            tokens.append(("VAR" if text[0].isupper() else "IDENT", text, line, col))
+        elif kind == "int":
+            tokens.append(("INT", text, line, col))
+    tokens.append(("EOF", "", line, col_end - line_start + 1))
+    return tokens
 
 
 class _Parser:
     def __init__(self, source):
-        self.toks = _Scanner(source).tokens
+        self.toks = _scan(source)
         self.i = 0
 
     def peek(self):
@@ -488,32 +472,69 @@ def value_from_source(source):
 # ---------------------------------------------------------------------------
 # bisimulation minimization and canonical interning
 
-_canonical = {}        # serialization key -> canonical node
+_canonical = {}        # key of a component's start block -> its canonical node
 _canonical_uids = set()
+_START_CANDIDATES = 4  # start blocks serialized and compared per component
 
 
 def _partition(nodes):
-    """Refine blocks until bisimulation-stable; returns node uid -> block id."""
+    """Coarsest bisimulation-stable partition; returns node uid -> block id.
+
+    Blocks start as the local shapes.  Each pass signs the dirty nodes
+    (at first all of them) by their children's block ids as they stood
+    at the start of the pass, and only then splits every block whose
+    members disagree.  The largest part keeps the block's id, so a node
+    moves to a block at most half the size of its old one, O(log n)
+    times, and only the parents of moved nodes are dirty in the next
+    pass: O(m log n) in all (Hopcroft 1971; Valmari & Lehtinen 2008).
+    Members no dirty node touched keep the block's last shared signature.
+    """
+    index = {n.uid: i for i, n in enumerate(nodes)}
+    kids = [[index[c.uid] for c in _children(n)] for n in nodes]
+    parents = [[] for _ in nodes]
+    for i, ks in enumerate(kids):
+        for c in ks:
+            parents[c].append(i)
     shapes = {}
-    block = {}
-    for n in nodes:
-        s = _shape(n)
-        if s not in shapes:
-            shapes[s] = len(shapes)
-        block[n.uid] = shapes[s]
-    nblocks = len(shapes)
-    while True:
-        sigs = {}
-        nxt = {}
-        for n in nodes:
-            sig = (block[n.uid],) + tuple(block[c.uid] for c in _children(n))
-            if sig not in sigs:
-                sigs[sig] = len(sigs)
-            nxt[n.uid] = sigs[sig]
-        if len(sigs) == nblocks:
-            return nxt
-        block = nxt
-        nblocks = len(sigs)
+    block = [shapes.setdefault(_shape(n), len(shapes)) for n in nodes]
+    members = [set() for _ in shapes]
+    for i, b in enumerate(block):
+        members[b].add(i)
+    shared = [None] * len(members)  # block id -> signature of its clean members
+    dirty = range(len(nodes))
+    while dirty:
+        signed = {}  # block id -> signature -> dirty members
+        for i in dirty:
+            sig = tuple([block[c] for c in kids[i]])
+            signed.setdefault(block[i], {}).setdefault(sig, []).append(i)
+        moved = []
+        for b, parts in signed.items():
+            old = shared[b]
+            clean = len(members[b]) - sum(map(len, parts.values()))
+            if len(parts) == 1 and (not clean or old in parts):
+                shared[b] = next(iter(parts))
+                continue
+            sizes = {sig: len(part) for sig, part in parts.items()}
+            if clean:
+                sizes[old] = sizes.get(old, 0) + clean
+            keep = max(sizes, key=sizes.get)
+            shared[b] = keep
+            for sig in sizes:
+                if sig == keep:
+                    continue
+                part = parts.get(sig, [])
+                if clean and sig == old:
+                    touched = {i for p in parts.values() for i in p}
+                    part = part + [i for i in members[b] if i not in touched]
+                nb = len(members)
+                members.append(set(part))
+                shared.append(sig)
+                members[b].difference_update(part)
+                for i in part:
+                    block[i] = nb
+                moved.extend(part)
+        dirty = {p for i in moved for p in parents[i]}
+    return {n.uid: block[i] for i, n in enumerate(nodes)}
 
 
 def _scc_order(block_ids, block_children):
@@ -588,6 +609,45 @@ def _serialize_block(start, block_children, block_shape, canon_of_block):
     return tuple(out)
 
 
+def _scc_key(scc, block_children, block_shape, canon_of_block):
+    """(start block, intern key) of a strongly connected component of the
+    quotient: the key is the serialization from a start block chosen from
+    the structure alone, so every presentation of the component picks the
+    same one, and one key stands for the whole component.
+
+    Colours start as the shape plus the canonical uids of the exits.
+    While the rarest colour (least count, then least colour) has more
+    than a few blocks, colours are refined by the children's colours,
+    ranked in sorted order.  Of the blocks with the rarest colour, the one
+    with the least serialization is the start.  The blocks of a component
+    of the quotient are pairwise distinct, so refining always makes
+    progress and two blocks never serialize alike.
+    """
+    def key(b):
+        return _serialize_block(b, block_children, block_shape, canon_of_block)
+
+    if len(scc) == 1:
+        return scc[0], key(scc[0])
+    inside = set(scc)
+    colour = {b: (block_shape[b], tuple(-1 if c in inside else canon_of_block[c].uid
+                                        for c in block_children[b]))
+              for b in scc}
+    while True:
+        counts = Counter(colour.values())
+        rarest = min(counts, key=lambda c: (counts[c], c))
+        if counts[rarest] <= _START_CANDIDATES:
+            keys = {b: key(b) for b in scc if colour[b] == rarest}
+            start = min(keys, key=keys.get)
+            return start, keys[start]
+        rank = {c: i for i, c in enumerate(sorted(counts))}
+        refined = {b: (rank[colour[b]], tuple(rank[colour[c]] for c in block_children[b]
+                                              if c in inside))
+                   for b in scc}
+        assert len(set(refined.values())) > len(counts), \
+            "component of the quotient is not minimal"
+        colour = refined
+
+
 def canonicalize(t):
     """Return the canonical node for t's bisimulation class.
 
@@ -609,13 +669,16 @@ def canonicalize(t):
 
     canon_of_block = {}
     for scc in _scc_order(list(rep), block_children):
-        keys = {b: _serialize_block(b, block_children, block_shape, canon_of_block)
-                for b in scc}
-        hits = [b for b in scc if keys[b] in _canonical]
-        if hits:
-            assert len(hits) == len(scc), "partial SCC intern"
-            for b in scc:
-                canon_of_block[b] = _canonical[keys[b]]
+        start, key = _scc_key(scc, block_children, block_shape, canon_of_block)
+        hit = _canonical.get(key)
+        if hit is not None:
+            # both graphs are minimal and deterministic: walk them in step
+            todo = [(start, hit)]
+            while todo:
+                b, node = todo.pop()
+                if b not in canon_of_block:
+                    canon_of_block[b] = node
+                    todo.extend(zip(block_children[b], _children(node)))
             continue
         fresh = {}
         for b in scc:
@@ -640,8 +703,8 @@ def canonicalize(t):
                 node.fields = dict(zip(shape[2], kids))
         for b in scc:
             canon_of_block[b] = fresh[b]
-            _canonical[keys[b]] = fresh[b]
             _canonical_uids.add(fresh[b].uid)
+        _canonical[key] = fresh[start]
     return canon_of_block[block[t.uid]]
 
 

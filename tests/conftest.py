@@ -81,6 +81,45 @@ def random_type(rng, size):
     return nodes[0]
 
 
+def random_connected_type(rng, size):
+    """Random type graph in which all `size` nodes are reachable from the
+    returned root: each node after the first fills a free child slot of
+    an earlier one, and the slots left over point anywhere (cycles)."""
+    nodes = []
+    slots = []  # (node, field name or "left"/"right") still unassigned
+    for i in range(size):
+        kind = rng.choice(("int", "obj", "obj", "union"))
+        # an int opens no slot: keep one open for the next node
+        if kind == "int" and len(slots) < 2 and i + 1 < size:
+            kind = "obj"
+        if kind == "int":
+            node = IntType()
+        elif kind == "obj":
+            node = ObjType(rng.choice(CLASS_POOL))
+            node.fields = {f: None for f in
+                           sorted(rng.sample(FIELD_POOL, rng.randint(1, len(FIELD_POOL))))}
+        else:
+            node = UnionType()
+        if nodes:
+            holder, slot = slots.pop(rng.randrange(len(slots)))
+            _fill(holder, slot, node)
+        nodes.append(node)
+        if kind == "obj":
+            slots.extend((node, f) for f in node.fields)
+        elif kind == "union":
+            slots.extend(((node, "left"), (node, "right")))
+    for holder, slot in slots:
+        _fill(holder, slot, rng.choice(nodes))
+    return nodes[0]
+
+
+def _fill(holder, slot, child):
+    if isinstance(holder, UnionType):
+        setattr(holder, slot, child)
+    else:
+        holder.fields[slot] = child
+
+
 def random_value(rng, size, max_int=5):
     """Random connected value graph with at most `size` nodes."""
     nodes = []
@@ -94,6 +133,40 @@ def random_value(rng, size, max_int=5):
             names = rng.sample(FIELD_POOL, rng.randint(0, len(FIELD_POOL)))
             node.fields = dict(sorted((f, rng.choice(nodes)) for f in names))
     return nodes[0]
+
+
+# The Baseline shapes of ROADMAP.md.
+
+def chain(n):
+    """int under n objects obj(a, [f: ...])."""
+    t = IntType()
+    for _ in range(n):
+        t = ObjType("a", {"f": t})
+    return t
+
+
+def spine(n):
+    """int under n unions, each with obj(a, [f: int]) on its left."""
+    t = IntType()
+    for _ in range(n):
+        t = UnionType(ObjType("a", {"f": IntType()}), t)
+    return t
+
+
+def fan(n):
+    """Node i is obj(a, [f: node i+1, g: node 0]); the last f is int."""
+    nodes = [ObjType("a") for _ in range(n)]
+    for i, node in enumerate(nodes):
+        node.fields = {"f": nodes[i + 1] if i + 1 < n else IntType(), "g": nodes[0]}
+    return nodes[0]
+
+
+def union_tower(n):
+    """int under n unions whose two sides coincide."""
+    t = IntType()
+    for _ in range(n):
+        t = UnionType(t, t)
+    return t
 
 
 def seeded(seed):

@@ -71,6 +71,25 @@ def test_subtype_trace_prints_derivation(tmp_path, capsys):
     assert "<=" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_subtype_trace_canonicalizes_each_input_once(tmp_path, capsys, monkeypatch, fmt):
+    import coinfer.term_core as term_core
+
+    partitions = []
+    real = term_core._partition
+
+    def counting(nodes):
+        partitions.append(len(nodes))
+        return real(nodes)
+
+    monkeypatch.setattr(term_core, "_partition", counting)
+    odd = put(tmp_path, "odd.ty", ODD)
+    nat = put(tmp_path, "nat.ty", NAT)
+    assert main(["subtype", odd, nat, "--trace", "--format", fmt]) == 0
+    assert ("derivation" if fmt == "json" else "<=") in capsys.readouterr().out
+    assert len(partitions) == 2
+
+
 def test_subtype_budget_reported_as_exit3(tmp_path, capsys):
     nat = put(tmp_path, "nat.ty", NAT)
     rc = main(["subtype", nat, nat, "--memo-limit", "1"])
@@ -191,6 +210,20 @@ def test_sample_deterministic_for_seed(tmp_path, capsys):
     first = capsys.readouterr().out
     main(["sample", nat, "--count", "4", "--seed", "9"])
     assert capsys.readouterr().out == first
+
+
+def test_sample_seeded_output_pinned(tmp_path, capsys):
+    # the README's `sample odd.ty --count 2 --seed 1` plus two random walks
+    odd = put(tmp_path, "odd.ty", ODD)
+    assert main(["sample", odd, "--count", "4", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.split("\n\n") == [
+        "T0 = obj(succ, [pred -> obj(zero, [])]);\nroot T0",
+        "T0 = obj(succ, [pred -> obj(succ, [pred -> T0])]);\nroot T0",
+        "T0 = obj(succ, [pred -> obj(succ, [pred -> obj(succ, [pred -> obj(zero, [])])])]);"
+        "\nroot T0",
+        "T0 = obj(succ, [pred -> obj(succ, [pred -> obj(succ, [pred -> obj(succ, "
+        "[pred -> obj(succ, [pred -> obj(zero, [])])])])])]);\nroot T0\n",
+    ]
 
 
 def test_sample_empty_type_is_negative(tmp_path, capsys):

@@ -14,7 +14,15 @@ from coinfer.term_core import (
     value_from_source,
 )
 
-from conftest import CLASS_POOL, FIELD_POOL, random_type, random_value, seeded
+from conftest import (
+    CLASS_POOL,
+    FIELD_POOL,
+    fan,
+    random_type,
+    random_value,
+    seeded,
+    union_tower,
+)
 
 NAT = "N = obj(zero, []) \\/ obj(succ, [pred: N]); root N"
 BOT = "B = B \\/ B; root B"
@@ -168,6 +176,17 @@ def test_sample_finite_type_returns_fewer():
     t = type_from_source("T = obj(zero, []); root T")
     vals = sample_values(t, 5, seed=2)
     assert len(vals) == 1
+
+
+@pytest.mark.parametrize("shape, n", [(fan, 60), (union_tower, 60), (union_tower, 1500)])
+def test_sample_reaches_past_sixty_nodes(shape, n):
+    # the int sits under n objects or unions: a walk must get that deep
+    # to draw a random integer instead of falling back to the witness,
+    # and at 1500 it must not recurse
+    t = shape(n)
+    vals = sample_values(t, 3, seed=0)
+    assert len({canonicalize(v).uid for v in vals}) == 3
+    assert all(member(v, t) for v in vals)
 
 
 def test_samples_all_members():

@@ -1,0 +1,117 @@
+"""Scale checks: canonicalization and the inhabited-set pass on graphs
+far larger than the unit tests use, against the independent oracles of
+conftest, plus time bounds on the Baseline shapes and one long cycle."""
+
+import time
+
+import pytest
+
+from conftest import (
+    chain,
+    fan,
+    inflate,
+    node_children,
+    random_connected_type,
+    random_type,
+    seeded,
+    spine,
+    trees_equal_oracle,
+    union_tower,
+)
+
+from coinfer.emptiness import inhabited, not_empty
+from coinfer.term_core import ObjType, canonicalize, subterm_closure
+
+
+def _canonical_map(t, c):
+    """Original node uid -> the canonical node it must map to, found by
+    walking t and its canonical form c in step."""
+    image = {}
+    todo = [(t, c)]
+    while todo:
+        a, b = todo.pop()
+        if a.uid in image:
+            assert image[a.uid] is b, "a node maps to two canonical nodes"
+            continue
+        image[a.uid] = b
+        todo.extend(zip(node_children(a), node_children(b)))
+    return image
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_canonicalize_large_random_graphs_against_oracle(seed):
+    rng = seeded(9100 + seed)
+    t = random_connected_type(rng, 1000)
+    nodes = sorted(subterm_closure(t), key=lambda n: n.uid)
+    assert len(nodes) == 1000
+    c = canonicalize(t)
+    assert trees_equal_oracle(t, c)
+    image = _canonical_map(t, c)
+    canon = sorted(subterm_closure(c), key=lambda n: n.uid)
+    assert len(canon) == len({n.uid for n in image.values()})
+    # identity of images is bisimilarity: sampled pairs, same-shape ones too
+    for _ in range(300):
+        a, b = rng.choice(nodes), rng.choice(nodes)
+        assert trees_equal_oracle(a, b) == (image[a.uid] is image[b.uid])
+    for _ in range(100):
+        a, b = rng.choice(canon), rng.choice(canon)
+        assert trees_equal_oracle(a, b) == (a is b)
+    for copies in (2, 3):
+        assert canonicalize(inflate(t, rng, copies)) is c
+    # every node canonicalizes to its image, also entered from inside a cycle
+    for n in rng.sample(nodes, 20):
+        assert canonicalize(n) is image[n.uid]
+
+
+def two_marks(n):
+    """A cycle of n objects obj(a, [f: next]) but for two obj(b, ...)
+    about half-way apart: the classes differ only by the distance to the
+    next mark, so plain refinement needs about n/2 rounds."""
+    classes = ["a"] * n
+    classes[0] = classes[n // 2 + 1] = "b"
+    nodes = [ObjType(c) for c in classes]
+    for i, node in enumerate(nodes):
+        node.fields = {"f": nodes[(i + 1) % n]}
+    return nodes[0]
+
+
+@pytest.mark.parametrize("shape", [chain, spine, fan, two_marks])
+def test_canonicalize_baseline_shapes_at_4000(shape):
+    t = shape(4000)
+    start = time.monotonic()
+    c = canonicalize(t)
+    elapsed = time.monotonic() - start
+    assert elapsed < 2.0, "%s 4000 took %.2fs" % (shape.__name__, elapsed)
+    assert trees_equal_oracle(t, c)
+    assert canonicalize(inflate(t, seeded(4000))) is c
+
+
+def test_canonicalize_cycle_entered_anywhere():
+    # fresh copies entered at each node must land on the one interned cycle
+    n = 40
+    c = canonicalize(two_marks(n))
+    expect = c
+    for k in range(n):
+        entry = two_marks(n)
+        for _ in range(k):
+            entry = entry.fields["f"]
+        assert canonicalize(entry) is expect
+        expect = expect.fields["f"]
+    assert expect is c
+
+
+def _assert_inhabited_matches(t):
+    live = inhabited(t)
+    for n in subterm_closure(t):
+        assert (n.uid in live) == not_empty(n)
+
+
+def test_inhabited_matches_not_empty_on_random_types():
+    rng = seeded(7704)  # criterion 4's types
+    for _ in range(5_000):
+        _assert_inhabited_matches(random_type(rng, rng.randint(1, 12)))
+
+
+@pytest.mark.parametrize("shape", [chain, spine, fan, union_tower])
+def test_inhabited_matches_not_empty_on_baseline_shapes(shape):
+    _assert_inhabited_matches(shape(60))
