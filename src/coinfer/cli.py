@@ -33,6 +33,7 @@ from .cosld_engine import (
     format_term_text,
     logic_to_type,
     parse_query,
+    recursion_headroom,
     solve,
 )
 
@@ -157,6 +158,7 @@ def _answer_json(answer):
     return {"text": format_answer(answer), "bindings": bindings}
 
 
+@recursion_headroom()  # answers are printed by walks as deep as their terms
 def cmd_solve(args):
     program = parse_program(_read(args.file))
     clauses = compile_program(program)

@@ -13,7 +13,9 @@ Search runs under a depth budget with iterative deepening.  Exhausting the
 budget is reported as inconclusive (depth_hit), never as failure.
 """
 
+import re
 import sys
+from contextlib import contextmanager
 
 from .horn_compiler import (
     Atom,
@@ -437,9 +439,7 @@ def logic_equal(a, b):
 def _atoms_equal(a, b):
     if a.pred != b.pred or len(a.args) != len(b.args):
         return False
-    probe = Atom(a.pred, list(a.args))
-    other = Atom(b.pred, list(b.args))
-    return logic_equal(ListTerm(probe.args), ListTerm(other.args))
+    return logic_equal(ListTerm(a.args), ListTerm(b.args))
 
 
 class _NotAType(Exception):
@@ -585,22 +585,67 @@ def _rename_clause(clause):
     return HornClause(head, body)
 
 
+def _first_key(t):
+    """Principal functor of a first argument, for clause indexing: the
+    constant's name, the constructor class of an obj, union or integer
+    term, or None for a variable, list or record (which may unify with
+    terms of other shapes)."""
+    t = deref(t)
+    if isinstance(t, Const):
+        return t.name
+    if isinstance(t, (ObjTerm, UnionTerm, IntTerm)):
+        return type(t)
+    return None
+
+
 class _Engine:
     def __init__(self, clauses, config):
         self.config = config
-        self.db = {}
+        # First-argument index: (pred, arity) -> (all clauses, {key: the
+        # clauses with that key or none}, the clauses with no key), each
+        # list of (clause, ground) in clause order.  A ground clause has no
+        # variables, so it is used without renaming.
+        self.index = {}
         for c in clauses:
-            self.db.setdefault((c.head.pred, len(c.head.args)), []).append(c)
-        preds = {p for p, _ in self.db}
+            entry = (c, not any(_collect_vars(a) for a in [c.head] + c.body))
+            every, by_key, unkeyed = self.index.setdefault(
+                (c.head.pred, len(c.head.args)), ([], {}, []))
+            every.append(entry)
+            key = _first_key(c.head.args[0]) if c.head.args else None
+            if key is None:
+                unkeyed.append(entry)
+                for into in by_key.values():
+                    into.append(entry)
+            else:
+                by_key.setdefault(key, list(unkeyed)).append(entry)
+        preds = {p for p, _ in self.index}
         for pred in config.variance:
             if pred not in preds:
                 raise EngineError(
                     "variance entry for undeclared predicate %r" % pred)
+        # predicates defined by ground facts alone (class, extends, dec_*,
+        # not_dec_*): a goal on one with constant arguments binds nothing
+        self.fact_preds = {pk for pk, (every, _, _) in self.index.items()
+                           if all(ground and not c.body for c, ground in every)}
         self.trail = []
         self.steps = 0
         self.subsumptions = []
         self.depth_hit = False
         self.steps_exhausted = False
+
+    def _candidates(self, atom):
+        entry = self.index.get((atom.pred, len(atom.args)))
+        if entry is None:
+            return ()
+        every, by_key, unkeyed = entry
+        key = _first_key(atom.args[0]) if atom.args else None
+        if key is None:
+            return every
+        return by_key.get(key, unkeyed)
+
+    def _bound_fact(self, atom):
+        return ((atom.pred, len(atom.args)) in self.fact_preds
+                and all(isinstance(deref(a), Const) for a in atom.args))
 
     def _unify_atom(self, a, b):
         if a.pred != b.pred or len(a.args) != len(b.args):
@@ -673,8 +718,8 @@ class _Engine:
             self.depth_hit = True
             return
         child = (atom, anc, depth + 1)
-        for clause in self.db.get((atom.pred, len(atom.args)), ()):
-            fresh = _rename_clause(clause)
+        for clause, ground in self._candidates(atom):
+            fresh = clause if ground else _rename_clause(clause)
             mark = len(self.trail)
             if self._unify_atom(atom, fresh.head):
                 yield from self._prove_seq(fresh.body, 0, child, limit)
@@ -684,8 +729,31 @@ class _Engine:
         if i == len(atoms):
             yield
             return
+        # Prove a bound ground-fact goal first.  It binds nothing, succeeds
+        # at most once per matching fact and is never its own ancestor, so
+        # the answers and their order stay the same; a failing one cuts the
+        # branch before the goals it jumped over are explored.
+        if not self._bound_fact(atoms[i]):
+            for j in range(i + 1, len(atoms)):
+                if self._bound_fact(atoms[j]):
+                    atoms = atoms[:i] + [atoms[j]] + atoms[i:j] + atoms[j + 1:]
+                    break
         for _ in self._prove_atom(atoms[i], anc, limit):
             yield from self._prove_seq(atoms, i + 1, anc, limit)
+
+
+@contextmanager
+def recursion_headroom():
+    """Raise the recursion limit to 10000, if lower, for the block or the
+    decorated call, and restore the caller's limit however it ends.  The
+    search recurses through nested generators, and answers are copied and
+    printed by walks as deep as their terms."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, 10000))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def _stages(config):
@@ -712,6 +780,7 @@ def _capture(atom, qvars):
     return Answer(copied, bindings)
 
 
+@recursion_headroom()
 def solve(query, clauses, config=None):
     """Run the query against the clause set.  The result carries every
     distinct answer found in the first productive deepening stage, whether
@@ -720,8 +789,6 @@ def solve(query, clauses, config=None):
     if config is None:
         config = SolverConfig()
     atom = query.atom if isinstance(query, Query) else query
-    if sys.getrecursionlimit() < 10000:
-        sys.setrecursionlimit(10000)
     engine = _Engine(clauses, config)
     qvars = _collect_vars(atom)
     answers = []
@@ -774,59 +841,48 @@ def check_answer(query, answer, expected):
 # ---------------------------------------------------------------------------
 # query parsing
 
-_Q_SYMBOLS = ("\\/", ":-", "(", ")", "[", "]", ",", ":", ";", "=", "|", ".")
+# One alternative per token class.  Comments do not advance the column,
+# which only shows in the position of a final EOF token.
+_QTOKEN = re.compile(r"""
+    (?P<space>[ \t\r]+)
+  | (?P<newline>\n)
+  | (?P<comment>\#[^\n]*)
+  | (?P<symbol>\\/|:-|[()\[\],:;=|.])
+  | (?P<word>[^\W\d]\w*)
+  | (?P<int>[0-9]+)
+""", re.VERBOSE)
 
 
 def _scan_query(src):
+    """Tokens (kind, text, line, col, start, end) of src, ending with an
+    EOF token."""
     toks = []
-    i = 0
-    n = len(src)
-    line, col = 1, 1
-    while i < n:
-        c = src[i]
-        if c == "#":
-            while i < n and src[i] != "\n":
-                i += 1
+    line, line_start, col_end = 1, 0, 0
+    pos = 0
+    while pos < len(src):
+        m = _QTOKEN.match(src, pos)
+        kind = m.lastgroup if m else None
+        # \w also matches numerals such as "½" and "²", which start no token
+        if kind is None or (kind == "word" and not (src[pos].isalpha() or src[pos] == "_")):
+            raise EngineError("line %d, col %d: unexpected character %r"
+                              % (line, pos - line_start + 1, src[pos]))
+        text = m.group()
+        col = pos - line_start + 1
+        start, pos = pos, m.end()
+        if kind == "comment":
             continue
-        if c in " \t\r\n":
-            if c == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-            continue
-        matched = None
-        for sym in _Q_SYMBOLS:
-            if src.startswith(sym, i):
-                matched = sym
-                break
-        if matched:
-            toks.append((matched, matched, line, col, i, i + len(matched)))
-            i += len(matched)
-            col += len(matched)
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[i:j]
-            kind = "VAR" if (word[0].isupper() or word[0] == "_") else "IDENT"
-            toks.append((kind, word, line, col, i, j))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(("INT", src[i:j], line, col, i, j))
-            col += j - i
-            i = j
-            continue
-        raise EngineError("line %d, col %d: unexpected character %r"
-                          % (line, col, c))
-    toks.append(("EOF", "", line, col, n, n))
+        col_end = pos
+        if kind == "newline":
+            line += 1
+            line_start = pos
+        elif kind == "symbol":
+            toks.append((text, text, line, col, start, pos))
+        elif kind == "word":
+            word_kind = "VAR" if (text[0].isupper() or text[0] == "_") else "IDENT"
+            toks.append((word_kind, text, line, col, start, pos))
+        elif kind == "int":
+            toks.append(("INT", text, line, col, start, pos))
+    toks.append(("EOF", "", line, col_end - line_start + 1, len(src), len(src)))
     return toks
 
 

@@ -14,6 +14,8 @@ precomputed as ground not_dec_field / not_dec_meth facts over the
 program's class and member-name universes, keeping everything pure Horn.
 """
 
+import re
+
 
 class ProgramError(Exception):
     pass
@@ -211,53 +213,47 @@ class CallExpr:
 
 
 _KEYWORDS = ("class", "extends", "this", "new", "return")
-_PSYMBOLS = ("{", "}", "(", ")", ";", ",", ".", "=")
+
+# One alternative per token class.  Comments do not advance the column,
+# which only shows in the position of a final EOF token.
+_PTOKEN = re.compile(r"""
+    (?P<space>[ \t\r]+)
+  | (?P<newline>\n)
+  | (?P<comment>(?:\#|//)[^\n]*)
+  | (?P<symbol>[{}();,.=])
+  | (?P<word>[^\W\d]\w*)
+  | (?P<int>[0-9]+)
+""", re.VERBOSE)
 
 
 def _scan_program(src):
+    """Tokens (kind, text, line, col) of src, ending with an EOF token."""
     toks = []
-    i = 0
-    line, col = 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "#" or src.startswith("//", i):
-            while i < n and src[i] != "\n":
-                i += 1
+    line, line_start, col_end = 1, 0, 0
+    pos = 0
+    while pos < len(src):
+        m = _PTOKEN.match(src, pos)
+        kind = m.lastgroup if m else None
+        # \w also matches numerals such as "½" and "²", which start no token
+        if kind is None or (kind == "word" and not (src[pos].isalpha() or src[pos] == "_")):
+            raise ProgramError("line %d, col %d: unexpected character %r"
+                               % (line, pos - line_start + 1, src[pos]))
+        text = m.group()
+        col = pos - line_start + 1
+        pos = m.end()
+        if kind == "comment":
             continue
-        if c in " \t\r\n":
-            if c == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-            continue
-        if c in _PSYMBOLS:
-            toks.append((c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[i:j]
-            kind = word if word in _KEYWORDS else "IDENT"
-            toks.append((kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(("INT", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ProgramError("line %d, col %d: unexpected character %r" % (line, col, c))
-    toks.append(("EOF", "", line, col))
+        col_end = pos
+        if kind == "newline":
+            line += 1
+            line_start = pos
+        elif kind == "symbol":
+            toks.append((text, text, line, col))
+        elif kind == "word":
+            toks.append((text if text in _KEYWORDS else "IDENT", text, line, col))
+        elif kind == "int":
+            toks.append(("INT", text, line, col))
+    toks.append(("EOF", "", line, col_end - line_start + 1))
     return toks
 
 

@@ -22,8 +22,8 @@ from coinfer.term_core import (
     ObjType,
     ObjValue,
     UnionType,
+    _scc_order,
     canonicalize,
-    subterm_closure,
 )
 
 _INF = float("inf")
@@ -130,17 +130,31 @@ def _viable_children(node, live):
 
 def _find_obj_cycle(t, live):
     """A reachable object node that can reach itself through inhabited
-    nodes; returns the forced route t -> ... -> O -> ... -> O, or None."""
-    reach = sorted((n for n in subterm_closure(t) if n.uid in live),
-                   key=lambda n: n.uid)
+    nodes; returns the forced route t -> ... -> O -> ... -> O, or None.
+    O is the least-uid such node, found with one SCC pass."""
+    nodes = {}  # uid -> node, for the nodes t reaches through viable edges
+    todo = [t]
+    while todo:
+        n = todo.pop()
+        if n.uid not in nodes:
+            nodes[n.uid] = n
+            todo.extend(_viable_children(n, live))
+    children = {u: [c.uid for c in _viable_children(n, live)]
+                for u, n in nodes.items()}
+    on_cycle = [u for scc in _scc_order(list(children), children)
+                if len(scc) > 1 or scc[0] in children[scc[0]]
+                for u in scc if isinstance(nodes[u], ObjType)]
+    if not on_cycle:
+        return None
+    goal = min(on_cycle)
 
-    def bfs(starts, goal_uid):
+    def bfs(starts):
         parents = {}
         queue = deque(starts)
         seen = {n.uid for n in queue}
         while queue:
             n = queue.popleft()
-            if n.uid == goal_uid:
+            if n.uid == goal:
                 out = [n]
                 while out[-1].uid in parents:
                     out.append(parents[out[-1].uid])
@@ -152,16 +166,7 @@ def _find_obj_cycle(t, live):
                     queue.append(c)
         return None
 
-    for node in reach:
-        if not isinstance(node, ObjType):
-            continue
-        back = bfs(_viable_children(node, live), node.uid)
-        if back is None:
-            continue
-        entry = bfs([t], node.uid)
-        if entry is not None:
-            return entry + back
-    return None
+    return bfs([t]) + bfs(_viable_children(nodes[goal], live))
 
 
 def _forced_cyclic(t, live, wit):

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -282,3 +283,31 @@ def test_solve_bad_query_is_usage_error(tmp_path, capsys):
     prog = put(tmp_path, "prog.src", ZERO_SUCC)
     assert main(["solve", prog, "--query", "invoke("]) == 2
     capsys.readouterr()
+
+
+def test_non_ascii_digit_in_program_is_usage_error(tmp_path, capsys):
+    # "²" passes str.isdigit but is no decimal numeral
+    prog = put(tmp_path, "prog.src", "class A { m() { return ²; } }")
+    assert main(["compile", prog]) == 2
+    assert "unexpected character" in capsys.readouterr().err
+    assert main(["solve", prog, "--query", "class(a)"]) == 2
+    assert "unexpected character" in capsys.readouterr().err
+
+
+def test_non_ascii_digit_in_query_is_usage_error(tmp_path, capsys):
+    prog = put(tmp_path, "prog.src", ZERO_SUCC)
+    assert main(["solve", prog, "--query", "invoke(², add, [], R)"]) == 2
+    assert "line 1, col 8: unexpected character" in capsys.readouterr().err
+
+
+def test_solve_prints_deep_answer(tmp_path, capsys):
+    # the answer is as deep as the query's type; printing it recurses on
+    # that depth after the search has ended
+    prog = put(tmp_path, "id.src", "class Id { m(x) { return x; } }")
+    deep = "obj(a,[f: " * 450 + "int" + "])" * 450
+    query = "T = %s; invoke(obj(id,[]), m, [T], R)" % deep
+    limit = sys.getrecursionlimit()
+    assert main(["solve", prog, "--query", query]) == 0
+    out = capsys.readouterr().out.strip()
+    assert out == "R = " + "obj(a,[f:" * 450 + "int" + "])" * 450
+    assert sys.getrecursionlimit() == limit

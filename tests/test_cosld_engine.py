@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import time
 
 import pytest
 
@@ -467,3 +469,81 @@ def test_logic_equal_distinguishes_and_identifies():
     c = UnionTerm(Const("bool"), None)
     c.right = c
     assert not logic_equal(a, c)
+
+
+# ---------------------------------------------------------------------------
+# clause indexing and goal selection
+
+def forwarding_program(n):
+    """Class Ci inherits m from C(i-1) and overrides it to call C(i-1)'s."""
+    lines = ["class C0 { m(x) { return x; } }"]
+    for i in range(1, n):
+        lines.append("class C%d extends C%d { m(x) { return new C%d().m(x); } }"
+                     % (i, i - 1, i - 1))
+    return "\n".join(lines)
+
+
+def solve_forwarding(n):
+    clauses = clauses_for(forwarding_program(n))
+    query = parse_query("invoke(obj(c%d,[]), m, [int], R)" % (n - 1))
+    return solve(query, clauses, SolverConfig(max_depth=512))
+
+
+def test_forwarding_hierarchy_scales():
+    start = time.perf_counter()
+    res = solve_forwarding(32)
+    elapsed = time.perf_counter() - start
+    assert len(res.answers) == 1
+    int_type = type_from_source("T = int; root T;")
+    assert equal(logic_to_type(res.answers[0].bindings["R"]), int_type)
+    assert res.steps <= 1500
+    assert elapsed < 1.0, "fwd 32 took %.2fs" % elapsed
+
+
+def test_forwarding_hierarchy_step_count():
+    # the not_dec_meth check of the inheritance clause runs before the
+    # recursive has_meth goal it follows, so dead branches stop at once
+    assert solve_forwarding(8).steps <= 120
+
+
+BOXES = """
+class Box { v; Box(x) { this.v = x; } get() { return v; } }
+class Sub extends Box { }
+"""
+
+
+def test_union_receiver_search_completes():
+    clauses = clauses_for(BOXES)
+    query = parse_query("T1 = int; T2 = obj(k, []); "
+                        "invoke(obj(box,[v:T1]) \\/ obj(sub,[v:T2]), get, [], R)")
+    res = solve(query, clauses, SolverConfig())
+    assert [format_answer(a) for a in res.answers] == ["R = int\\/obj(k,[])"]
+    assert res.complete and not res.depth_hit
+
+
+def test_readme_numerals_answers_unchanged():
+    query = parse_query("EVN = obj(zero,[]) \\/ obj(succ,[pred: ODD]);"
+                        " ODD = obj(succ,[pred: EVN]);"
+                        " invoke(EVN, add, [ODD], R)")
+    res = solve(query, clauses_for(ZERO_SUCC), SolverConfig())
+    assert [format_answer(a) for a in res.answers] == [
+        "R = T1 where T0 = obj(succ,[pred:obj(zero,[])\\/obj(succ,[pred:T0])]);"
+        " T1 = T0\\/T1",
+        "R = T0\\/T1 where T0 = obj(succ,[pred:obj(zero,[])\\/obj(succ,[pred:T0])]);"
+        " T1 = obj(succ,[pred:obj(succ,[pred:T0])])\\/T1",
+    ]
+
+
+def test_solve_restores_recursion_limit():
+    clauses = clauses_for(ZERO_SUCC)
+    outer = sys.getrecursionlimit()
+    sys.setrecursionlimit(2000)
+    try:
+        solve(ground("class", "zero"), clauses, SolverConfig())
+        assert sys.getrecursionlimit() == 2000
+        cfg = SolverConfig(variance={"frobnicate": ("inv", "co")})
+        with pytest.raises(EngineError):
+            solve(ground("class", "zero"), clauses, cfg)
+        assert sys.getrecursionlimit() == 2000
+    finally:
+        sys.setrecursionlimit(outer)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from coinfer.emptiness import not_empty, witness
@@ -17,6 +19,7 @@ from coinfer.term_core import (
 from conftest import (
     CLASS_POOL,
     FIELD_POOL,
+    chain,
     fan,
     random_type,
     random_value,
@@ -237,3 +240,13 @@ def test_acyclic_agreement_with_inductive_oracle():
         t = random_type(rng, rng.randint(1, 8))
         v = tree_value(rng, 3)
         assert member(v, t) == inductive_member(v, t)
+
+
+def test_sample_long_chain_is_fast():
+    # the cyclic-member search makes one SCC pass, not one BFS per node
+    t = chain(3000)
+    start = time.perf_counter()
+    vals = sample_values(t, 3, seed=0)
+    elapsed = time.perf_counter() - start
+    assert len({canonicalize(v).uid for v in vals}) == 3
+    assert elapsed < 1.0, "chain 3000 took %.2fs" % elapsed
