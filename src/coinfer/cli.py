@@ -6,6 +6,7 @@ positive verdict, 1 for a definite negative, 2 for usage or parse errors,
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -199,6 +200,10 @@ def cmd_solve(args):
     return 1 if result.complete else 3
 
 
+# built on the first main() call and reused: parse_args leaves the parser
+# as it was, and usage errors and --help look up sys.stdout/stderr when
+# they print
+@functools.cache
 def _build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("text", "json"), default="text")

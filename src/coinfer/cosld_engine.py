@@ -29,7 +29,7 @@ from .horn_compiler import (
     Var,
 )
 from .subtyping import subtype
-from .term_core import IntType, ObjType, TermError, UnionType, type_from_source
+from .term_core import IntType, ObjType, TermError, UnionType, parse_type, resolve_names
 
 
 class EngineError(Exception):
@@ -490,33 +490,39 @@ def logic_to_type(t):
         return None
 
 
-def type_to_logic(t):
-    """Convert a type graph into a ground logic term, preserving cycles."""
-    memo = {}
+def type_to_logic(t, memo=None):
+    """Convert a type graph into a ground logic term, preserving cycles.
 
-    def conv(t):
-        key = id(t)
-        if key in memo:
-            return memo[key]
-        if isinstance(t, IntType):
-            node = Const("int")
-            memo[key] = node
-            return node
-        if isinstance(t, UnionType):
-            shell = UnionTerm(None, None)
-            memo[key] = shell
-            shell.left = conv(t.left)
-            shell.right = conv(t.right)
-            return shell
-        if isinstance(t, ObjType):
-            shell = ObjTerm(Const(t.class_name), None)
-            memo[key] = shell
-            shell.rec = Record([(k, conv(v))
-                                for k, v in sorted(t.fields.items())])
-            return shell
-        raise TypeError(t)
-
-    return conv(t)
+    Calls that pass the same memo dict share the terms of shared nodes.
+    Terms are made in one walk and linked in a second, so a deep type
+    costs no recursion."""
+    if memo is None:
+        memo = {}
+    made = []  # (type node, its term) still to link to the children's terms
+    todo = [t]
+    while todo:
+        n = todo.pop()
+        if id(n) in memo:
+            continue
+        if isinstance(n, IntType):
+            memo[id(n)] = Const("int")
+            continue
+        if isinstance(n, UnionType):
+            term = UnionTerm(None, None)
+            todo += (n.left, n.right)
+        elif isinstance(n, ObjType):
+            term = ObjTerm(Const(n.class_name), None)
+            todo.extend(n.fields.values())
+        else:
+            raise TypeError(n)
+        memo[id(n)] = term
+        made.append((n, term))
+    for n, term in made:
+        if isinstance(n, UnionType):
+            term.left, term.right = memo[id(n.left)], memo[id(n.right)]
+        else:
+            term.rec = Record([(k, memo[id(v)]) for k, v in sorted(n.fields.items())])
+    return memo[id(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -1041,14 +1047,16 @@ def parse_query(source):
     parser.vars = {}
     prelude, names = parser.split_prelude()
     types = {}
-    logic = {}
-    for name in names:
+    if names:
+        # one resolve builds every declared name; an error in the prelude
+        # is reported against the first of them
         try:
-            types[name] = type_from_source("%s root %s;" % (prelude, name))
+            named = resolve_names(parse_type("%s root %s;" % (prelude, names[0])))
         except (TermError, RecursionError) as exc:
-            raise EngineError("in type equation for %s: %s" % (name, exc))
-    for name, t in types.items():
-        logic[name] = type_to_logic(t)
+            raise EngineError("in type equation for %s: %s" % (names[0], exc))
+        types = {name: named[name] for name in names}
+    memo = {}  # the names share one graph, and so do their terms
+    logic = {name: type_to_logic(t, memo) for name, t in types.items()}
     atom = parser.atom(logic)
     return Query(atom, types, parser.vars)
 

@@ -8,7 +8,8 @@ are recomputed in each context.
 
 sample_values draws members of a type: the canonical witness first, one
 deliberately cyclic value when the type admits any, then seeded random
-walks over the inhabited part of the type graph.
+walks over the inhabited part of the type graph.  It stops after the
+witness when that part holds no choice the walks could make.
 """
 
 import random
@@ -128,17 +129,39 @@ def _viable_children(node, live):
     return []
 
 
-def _find_obj_cycle(t, live):
-    """A reachable object node that can reach itself through inhabited
-    nodes; returns the forced route t -> ... -> O -> ... -> O, or None.
-    O is the least-uid such node, found with one SCC pass."""
-    nodes = {}  # uid -> node, for the nodes t reaches through viable edges
+def _viable_closure(t, live):
+    """uid -> node for the nodes t reaches through viable edges."""
+    nodes = {}
     todo = [t]
     while todo:
         n = todo.pop()
         if n.uid not in nodes:
             nodes[n.uid] = n
             todo.extend(_viable_children(n, live))
+    return nodes
+
+
+def _one_value(nodes, live):
+    """True when the sampler can build only one value from this closure.
+
+    The sampler builds objects with exactly the type's fields and picks
+    union sides among the inhabited ones.  Without an int and without a
+    union with two inhabited sides there is no choice left, so every
+    value it builds unfolds the same graph and is bisimilar to the
+    witness.  This speaks of the sampler's values only: members may carry
+    extra fields, which the sampler never adds.
+    """
+    return not any(isinstance(n, IntType)
+                   or (isinstance(n, UnionType)
+                       and n.left.uid in live and n.right.uid in live)
+                   for n in nodes.values())
+
+
+def _find_obj_cycle(t, nodes, live):
+    """A reachable object node that can reach itself through inhabited
+    nodes; returns the forced route t -> ... -> O -> ... -> O, or None.
+    O is the least-uid such node of t's viable closure `nodes`, found
+    with one SCC pass."""
     children = {u: [c.uid for c in _viable_children(n, live)]
                 for u, n in nodes.items()}
     on_cycle = [u for scc in _scc_order(list(children), children)
@@ -169,38 +192,39 @@ def _find_obj_cycle(t, live):
     return bfs([t]) + bfs(_viable_children(nodes[goal], live))
 
 
-def _forced_cyclic(t, live, wit):
+def _forced_cyclic(t, nodes, live, wit):
     """A member of t whose value graph is cyclic, or None if t has none.
 
     Follows a route ending in a repeated object node; the repeat ties the
-    knot, fields off the route take witness values.
+    knot, fields off the route take witness values.  The route's objects
+    are made in one forward pass and filled in one backward pass, so a
+    long cycle costs no recursion.
     """
-    route = _find_obj_cycle(t, live)
+    route = _find_obj_cycle(t, nodes, live)
     if route is None:
         return None
     knot_uid = route[-1].uid
-    pending = {}
-
-    def build(i):
-        node = route[i]
-        if i == len(route) - 1:
-            return pending[knot_uid]
-        if isinstance(node, UnionType):
-            return build(i + 1)
-        val = ObjValue(node.class_name)
-        val.fields = {}
-        if node.uid == knot_uid and knot_uid not in pending:
-            pending[knot_uid] = val
-        nxt = route[i + 1]
+    knot = None
+    vals = []  # the object value made for each route position, None for unions
+    for node in route[:-1]:
+        val = None
+        if isinstance(node, ObjType):
+            val = ObjValue(node.class_name)
+            val.fields = {}
+            if knot is None and node.uid == knot_uid:
+                knot = val
+        vals.append(val)
+    nxt_val = knot  # the value of route[i + 1]; unions pass it through
+    for i in range(len(vals) - 1, -1, -1):
+        val = vals[i]
+        if val is None:
+            continue
+        node, nxt = route[i], route[i + 1]
         route_field = next(f for f in sorted(node.fields) if node.fields[f] is nxt)
         for f in sorted(node.fields):
-            if f == route_field:
-                val.fields[f] = build(i + 1)
-            else:
-                val.fields[f] = wit(node.fields[f])
-        return val
-
-    return build(0)
+            val.fields[f] = nxt_val if f == route_field else wit(node.fields[f])
+        nxt_val = val
+    return nxt_val
 
 
 WALK_BUDGET = 60
@@ -249,8 +273,11 @@ def sample_values(t, count, seed):
     """Up to `count` distinct members of t, deterministic for a seed.
 
     The canonical witness comes first, then a cyclic member when the type
-    admits one, then random walks.  Raises ValueError on an empty type.
-    Every emitted value is re-checked with member.
+    admits one, then random walks.  When the inhabited part of t leaves
+    the sampler no choice (no int, no union with two inhabited sides), it
+    returns the witness alone, since it could build nothing else.  Raises
+    ValueError on an empty type.  Every emitted value is re-checked with
+    member.
     """
     live = inhabited(t)
     if t.uid not in live:
@@ -279,8 +306,12 @@ def sample_values(t, count, seed):
         out.append(v)
 
     emit(wit(t))
-    if len(out) < count:
-        emit(_forced_cyclic(t, live, wit))
+    if len(out) == count:
+        return out
+    nodes = _viable_closure(t, live)
+    if _one_value(nodes, live):
+        return out
+    emit(_forced_cyclic(t, nodes, live, wit))
     # one step more than the inhabited closure lets a walk reach every
     # node of it, so deep leaves get random values too
     budget = max(WALK_BUDGET, len(live) + 1)

@@ -398,7 +398,8 @@ def _representatives(system):
     return reps
 
 
-def _resolve(system, values):
+def resolve_names(system, values=False):
+    """The term graph of every name an equation system binds: name -> node."""
     reps = _representatives(system)
 
     def make_node(expr):
@@ -448,17 +449,17 @@ def _resolve(system, values):
             node.right = subnode(expr.right)
         elif isinstance(expr, (ObjExpr, ObjValExpr)):
             node.fields = dict(sorted((f, subnode(sub)) for f, sub in expr.fields))
-    return named[system.root]
+    return named
 
 
 def resolve(system):
     """Build the type term graph denoted by an equation system."""
-    return _resolve(system, values=False)
+    return resolve_names(system)[system.root]
 
 
 def resolve_value(system):
     """Build the value term graph denoted by an equation system."""
-    return _resolve(system, values=True)
+    return resolve_names(system, values=True)[system.root]
 
 
 def type_from_source(source):

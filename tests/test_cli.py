@@ -160,6 +160,22 @@ def test_unknown_command_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_repeated_main_calls_print_the_same(tmp_path, capsys):
+    # main reuses one parser across calls; its answers must not drift
+    nat = put(tmp_path, "nat.ty", NAT)
+    outs = []
+    for _ in range(2):
+        assert main(["sample", nat, "--count", "3", "--seed", "2"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert main(["frobnicate"]) == 2
+    assert "usage:" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+    assert main(["sample", nat, "--count", "3", "--seed", "2"]) == 0
+    assert capsys.readouterr().out == outs[0]
+
+
 def test_compile_prints_clause_program(tmp_path, capsys):
     prog = put(tmp_path, "prog.src", ZERO_SUCC)
     assert main(["compile", prog]) == 0

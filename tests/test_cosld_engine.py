@@ -444,6 +444,25 @@ def test_parse_query_rejects_garbage():
         parse_query("X = obj(zero, []); ")
 
 
+@pytest.mark.parametrize("k", [451, 3000])
+def test_parse_query_long_prelude_parses_once(k):
+    # one resolve for all declared names, not one parse per name, and
+    # no recursion on the chain's depth
+    prelude = "".join("T%d = obj(a, [f: T%d]); " % (i, i + 1) for i in range(k - 1))
+    source = prelude + "T%d = int; invoke(T0, m, [T%d], R)" % (k - 1, k - 1)
+    start = time.perf_counter()
+    q = parse_query(source)
+    elapsed = time.perf_counter() - start
+    assert len(q.types) == k
+    assert q.types["T%d" % (k - 2)].fields["f"] is q.types["T%d" % (k - 1)]
+    assert elapsed < 1.0, "a %d-equation prelude took %.2fs" % (k, elapsed)
+
+
+def test_parse_query_prelude_error_names_the_first_equation():
+    with pytest.raises(EngineError, match="in type equation for X:"):
+        parse_query("X = int; Y = obj(a, [f: Z]); invoke(X, m, [], R)")
+
+
 def test_format_answer_prints_equations_for_cycles():
     clauses = clauses_for(ZERO_SUCC)
     types = number_types()

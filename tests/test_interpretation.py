@@ -12,6 +12,7 @@ from coinfer.term_core import (
     ObjValue,
     UnionType,
     canonicalize,
+    print_value,
     type_from_source,
     value_from_source,
 )
@@ -21,6 +22,7 @@ from conftest import (
     FIELD_POOL,
     chain,
     fan,
+    inflate,
     random_type,
     random_value,
     seeded,
@@ -250,3 +252,58 @@ def test_sample_long_chain_is_fast():
     elapsed = time.perf_counter() - start
     assert len({canonicalize(v).uid for v in vals}) == 3
     assert elapsed < 1.0, "chain 3000 took %.2fs" % elapsed
+
+
+# --- types the sampler can build only one value of ---------------------------
+
+def cyclic_chain(n, with_int=False):
+    """n objects whose f fields close one cycle; with_int adds g: int."""
+    nodes = [ObjType("a") for _ in range(n)]
+    for i, node in enumerate(nodes):
+        node.fields = {"f": nodes[(i + 1) % n]}
+        if with_int:
+            node.fields["g"] = IntType()
+    return nodes[0]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cyclic_chain(150),
+    lambda: type_from_source("T = obj(zero, []); root T"),
+    lambda: inflate(type_from_source("T = obj(zero, []); root T"), seeded(5)),
+    lambda: inflate(cyclic_chain(20), seeded(6)),
+    lambda: type_from_source("B = B \\/ B; T = obj(c, [f: B \\/ obj(z, [])]); root T"),
+], ids=["cyclic_chain_150", "zero", "zero_inflated", "cyclic_chain_inflated",
+        "union_one_empty_side"])
+def test_one_value_shapes_return_the_witness(make):
+    t = make()
+    vals = sample_values(t, 5, seed=3)
+    assert [print_value(v) for v in vals] == [print_value(witness(t))]
+
+
+def test_long_cyclic_chain_returns_the_witness_fast():
+    t = cyclic_chain(3000)
+    start = time.perf_counter()
+    vals = sample_values(t, 3, seed=0)
+    elapsed = time.perf_counter() - start
+    assert len(vals) == 1 and canonicalize(vals[0]) is canonicalize(witness(t))
+    assert elapsed < 1.0, "cyclic chain 3000 took %.2fs" % elapsed
+
+
+@pytest.mark.parametrize("source, count", [
+    (NAT, 3),
+    ("T = obj(a, []) \\/ obj(b, []); root T", 2),
+    ("T = obj(a, [f: int]); root T", 3),
+])
+def test_a_choice_still_draws_more_values(source, count):
+    t = type_from_source(source)
+    vals = sample_values(t, count, seed=1)
+    assert len({canonicalize(v).uid for v in vals}) == count
+    assert all(member(v, t) for v in vals)
+
+
+def test_forced_cyclic_member_on_a_long_cycle_does_not_recurse():
+    # the int leaves the sampler a choice, so the cyclic member is built
+    t = cyclic_chain(1500, with_int=True)
+    vals = sample_values(t, 3, seed=0)
+    assert len({canonicalize(v).uid for v in vals}) == 3
+    assert all(member(v, t) for v in vals)
