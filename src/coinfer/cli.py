@@ -2,7 +2,8 @@
 
 One executable, subcommand per operation.  Exit codes: 0 for a definite
 positive verdict, 1 for a definite negative, 2 for usage or parse errors,
-3 when a search budget ran out before a verdict was reached.
+3 when a search budget, the recursion limit or memory ran out before a
+verdict was reached.
 """
 
 import argparse
@@ -290,6 +291,11 @@ def main(argv=None):
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except (RecursionError, MemoryError) as exc:
+        # last resort for a walk that still recurses on input depth, or an
+        # input too large for memory: a one-line message, not a traceback
+        print("resource exhausted: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ budget is reported as inconclusive (depth_hit), never as failure.
 import re
 import sys
 from contextlib import contextmanager
+from functools import partial
 
 from .horn_compiler import (
     Atom,
@@ -29,7 +30,10 @@ from .horn_compiler import (
     Var,
 )
 from .subtyping import subtype
-from .term_core import IntType, ObjType, TermError, UnionType, parse_type, resolve_names
+from .term_core import (
+    IntType, ObjType, TermError, TokenParser, UnionType, parse_type, resolve_names, token_kind,
+    token_spans,
+)
 
 
 class EngineError(Exception):
@@ -847,81 +851,27 @@ def check_answer(query, answer, expected):
 # ---------------------------------------------------------------------------
 # query parsing
 
-# One alternative per token class.  Comments do not advance the column,
-# which only shows in the position of a final EOF token.
-_QTOKEN = re.compile(r"""
-    (?P<space>[ \t\r]+)
-  | (?P<newline>\n)
-  | (?P<comment>\#[^\n]*)
-  | (?P<symbol>\\/|:-|[()\[\],:;=|.])
-  | (?P<word>[^\W\d]\w*)
-  | (?P<int>[0-9]+)
-""", re.VERBOSE)
+# One pattern for term_core.scan: whitespace and comments, then a token.
+_QTOKEN = re.compile(r"""[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
+    (\\/|:-|[()\[\],:;=|.]|[^\W\d]\w*|[0-9]+|.|\Z)""", re.VERBOSE)
+_QKINDS = {t: t for t in ("\\/", ":-", "(", ")", "[", "]", ",", ":", ";", "=", "|", ".")}
+_QKINDS[""] = "EOF"
 
 
-def _scan_query(src):
-    """Tokens (kind, text, line, col, start, end) of src, ending with an
-    EOF token."""
-    toks = []
-    line, line_start, col_end = 1, 0, 0
-    pos = 0
-    while pos < len(src):
-        m = _QTOKEN.match(src, pos)
-        kind = m.lastgroup if m else None
-        # \w also matches numerals such as "½" and "²", which start no token
-        if kind is None or (kind == "word" and not (src[pos].isalpha() or src[pos] == "_")):
-            raise EngineError("line %d, col %d: unexpected character %r"
-                              % (line, pos - line_start + 1, src[pos]))
-        text = m.group()
-        col = pos - line_start + 1
-        start, pos = pos, m.end()
-        if kind == "comment":
-            continue
-        col_end = pos
-        if kind == "newline":
-            line += 1
-            line_start = pos
-        elif kind == "symbol":
-            toks.append((text, text, line, col, start, pos))
-        elif kind == "word":
-            word_kind = "VAR" if (text[0].isupper() or text[0] == "_") else "IDENT"
-            toks.append((word_kind, text, line, col, start, pos))
-        elif kind == "int":
-            toks.append(("INT", text, line, col, start, pos))
-    toks.append(("EOF", "", line, col_end - line_start + 1, len(src), len(src)))
-    return toks
+_query_kind = partial(token_kind, fixed=_QKINDS, var=lambda c: c.isupper() or c == "_",
+                      digit="0123456789".__contains__)
 
 
-class _QueryParser:
+class _QueryParser(TokenParser):
     def __init__(self, source):
-        self.src = source
-        self.toks = _scan_query(source)
-        self.i = 0
-
-    def peek(self, ahead=0):
-        j = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[j]
-
-    def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def err(self, msg, tok=None):
-        tok = tok or self.peek()
-        raise EngineError("line %d, col %d: %s" % (tok[2], tok[3], msg))
-
-    def expect(self, kind):
-        t = self.next()
-        if t[0] != kind:
-            self.err("expected %r, found %r" % (kind, t[1] or "end of input"), t)
-        return t
+        super().__init__(source, _QTOKEN, _query_kind, EngineError)
 
     def split_prelude(self):
         """Consume leading 'VAR = ... ;' equations, returning their source
         text and the declared names in order."""
         pieces = []
         names = []
+        spans = None
         while self.peek()[0] == "VAR" and self.peek(1)[0] == "=":
             start_tok = self.next()
             names.append(start_tok[1])
@@ -937,7 +887,8 @@ class _QueryParser:
                     depth -= 1
                 elif t[0] == ";" and depth == 0:
                     break
-            pieces.append(self.src[start_tok[4]:t[5]])
+            spans = spans or token_spans(self.src, _QTOKEN)
+            pieces.append(self.src[spans[start_tok[2]][0]:spans[t[2]][1]])
         return " ".join(pieces), names
 
     def atom(self, type_terms):
@@ -1052,7 +1003,7 @@ def parse_query(source):
         # is reported against the first of them
         try:
             named = resolve_names(parse_type("%s root %s;" % (prelude, names[0])))
-        except (TermError, RecursionError) as exc:
+        except TermError as exc:
             raise EngineError("in type equation for %s: %s" % (names[0], exc))
         types = {name: named[name] for name in names}
     memo = {}  # the names share one graph, and so do their terms

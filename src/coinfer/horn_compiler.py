@@ -15,6 +15,9 @@ program's class and member-name universes, keeping everything pure Horn.
 """
 
 import re
+from functools import partial
+
+from .term_core import TokenParser, token_kind
 
 
 class ProgramError(Exception):
@@ -212,76 +215,21 @@ class CallExpr:
         self.args = args
 
 
-_KEYWORDS = ("class", "extends", "this", "new", "return")
-
-# One alternative per token class.  Comments do not advance the column,
-# which only shows in the position of a final EOF token.
-_PTOKEN = re.compile(r"""
-    (?P<space>[ \t\r]+)
-  | (?P<newline>\n)
-  | (?P<comment>(?:\#|//)[^\n]*)
-  | (?P<symbol>[{}();,.=])
-  | (?P<word>[^\W\d]\w*)
-  | (?P<int>[0-9]+)
-""", re.VERBOSE)
+# One pattern for term_core.scan: whitespace and comments, then a token.
+_PTOKEN = re.compile(r"""[ \t\r\n]*(?:(?:\#|//)[^\n]*[ \t\r\n]*)*
+    ([{}();,.=]|[^\W\d]\w*|[0-9]+|.|\Z)""", re.VERBOSE)
+_PKINDS = {t: t for t in ("{", "}", "(", ")", ";", ",", ".", "=",
+                          "class", "extends", "this", "new", "return")}
+_PKINDS[""] = "EOF"
 
 
-def _scan_program(src):
-    """Tokens (kind, text, line, col) of src, ending with an EOF token."""
-    toks = []
-    line, line_start, col_end = 1, 0, 0
-    pos = 0
-    while pos < len(src):
-        m = _PTOKEN.match(src, pos)
-        kind = m.lastgroup if m else None
-        # \w also matches numerals such as "½" and "²", which start no token
-        if kind is None or (kind == "word" and not (src[pos].isalpha() or src[pos] == "_")):
-            raise ProgramError("line %d, col %d: unexpected character %r"
-                               % (line, pos - line_start + 1, src[pos]))
-        text = m.group()
-        col = pos - line_start + 1
-        pos = m.end()
-        if kind == "comment":
-            continue
-        col_end = pos
-        if kind == "newline":
-            line += 1
-            line_start = pos
-        elif kind == "symbol":
-            toks.append((text, text, line, col))
-        elif kind == "word":
-            toks.append((text if text in _KEYWORDS else "IDENT", text, line, col))
-        elif kind == "int":
-            toks.append(("INT", text, line, col))
-    toks.append(("EOF", "", line, col_end - line_start + 1))
-    return toks
+_program_kind = partial(token_kind, fixed=_PKINDS, var=lambda c: False,
+                        digit="0123456789".__contains__)
 
 
-class _ProgramParser:
+class _ProgramParser(TokenParser):
     def __init__(self, source):
-        self.toks = _scan_program(source)
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def err(self, msg, tok=None):
-        tok = tok or self.peek()
-        raise ProgramError("line %d, col %d: %s" % (tok[2], tok[3], msg))
-
-    def expect(self, kind):
-        t = self.next()
-        if t[0] != kind:
-            self.err("expected %r, found %r" % (kind, t[1] or "end of input"), t)
-        return t
-
-    def at(self, kind):
-        return self.peek()[0] == kind
+        super().__init__(source, _PTOKEN, _program_kind, ProgramError)
 
     def program(self):
         classes = []

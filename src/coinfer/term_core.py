@@ -132,7 +132,8 @@ def _shape(node):
 
 
 def subterm_closure(t):
-    """All distinct nodes reachable from t (including t itself)."""
+    """All distinct nodes reachable from t (including t itself), in the
+    order a depth-first walk discovers them."""
     seen = {}
     todo = [t]
     while todo:
@@ -141,7 +142,7 @@ def subterm_closure(t):
             continue
         seen[n.uid] = n
         todo.extend(_children(n))
-    return set(seen.values())
+    return list(seen.values())
 
 
 # ---------------------------------------------------------------------------
@@ -196,186 +197,268 @@ class EquationSystem:
 # ---------------------------------------------------------------------------
 # scanner / parser
 
-# One alternative per token class; symbols come before integers so that
-# "->" is an arrow and "-3" a negative literal.  Comments do not advance
-# the column, which only shows in the position of a final EOF token.
-_TOKEN = re.compile(r"""
-    (?P<space>[ \t\r]+)
-  | (?P<newline>\n)
-  | (?P<comment>\#[^\n]*)
-  | (?P<symbol>->|\\/|[=;()\[\],:])
-  | (?P<word>[^\W\d]\w*)
-  | (?P<int>-?\d+)
-""", re.VERBOSE)
+def scan(src, pattern):
+    """Token texts of src, ending with "" at the end of input.
+
+    Each match of a grammar's pattern skips whitespace and comments in its
+    prefix and captures, in its one group, a token or else one character
+    that starts no token; parsers reject the latter.  The list is built
+    in C: no Python runs per token.
+    """
+    toks = pattern.findall(src)
+    if len(toks) > 1 and not toks[-2]:
+        del toks[-1]  # after trailing space the search meets the end twice
+    return toks
 
 
-def _scan(src):
-    """Tokens (kind, text, line, col) of src, ending with an EOF token."""
-    tokens = []
-    line, line_start, col_end = 1, 0, 0
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        kind = m.lastgroup if m else None
-        # \w also matches numerals such as "½" and "²", which start no token
-        if kind is None or (kind == "word" and not (src[pos].isalpha() or src[pos] == "_")):
-            raise ParseError("unexpected character %r" % src[pos], line, pos - line_start + 1)
-        text = m.group()
-        col = pos - line_start + 1
-        pos = m.end()
-        if kind == "comment":
-            continue
-        col_end = pos
-        if kind == "newline":
-            line += 1
-            line_start = pos
-        elif kind == "symbol":
-            tokens.append((text, text, line, col))
-        elif kind == "word":
-            tokens.append(("VAR" if text[0].isupper() else "IDENT", text, line, col))
-        elif kind == "int":
-            tokens.append(("INT", text, line, col))
-    tokens.append(("EOF", "", line, col_end - line_start + 1))
-    return tokens
+def token_spans(src, pattern):
+    """Source offsets (start, end) of each token of scan(src, pattern)."""
+    return [m.span(1) for m in pattern.finditer(src)]
 
 
-class _Parser:
-    def __init__(self, source):
-        self.toks = _scan(source)
+def token_position(src, pattern, k):
+    """(line, col) of token k of scan(src, pattern), both from 1.
+
+    Comments do not advance the column, which only shows in the end of
+    input: it sits before a trailing comment.
+    """
+    m = next(itertools.islice(pattern.finditer(src), k, None))
+    pos = m.start(1)
+    if pos == len(src):
+        tail = src[max(m.start(), src.rfind("\n") + 1):].lstrip(" \t\r")
+        pos -= len(tail)
+    line_start = src.rfind("\n", 0, pos) + 1
+    return src.count("\n", 0, line_start) + 1, pos - line_start + 1
+
+
+def token_kind(text, fixed, var=str.isupper, digit=str.isdecimal):
+    """Kind of a token: fixed[text] for a grammar's symbols and keywords and
+    for "" (EOF); else VAR or IDENT by var() of a first letter or "_", INT
+    by digit() of the first character or a "-"; None for a character that
+    starts no token."""
+    kind = fixed.get(text)
+    if kind is None:
+        c = text[0]
+        if c.isalpha() or c == "_":
+            kind = "VAR" if var(c) else "IDENT"
+        elif digit(c) or (c == "-" and len(text) > 1):
+            kind = "INT"
+    return kind
+
+
+class TokenParser:
+    """Cursor over the tokens (kind, text, index) of a grammar, for a
+    recursive-descent parser; token positions are found only for errors,
+    which it raises as error("line L, col C: message")."""
+
+    def __init__(self, src, pattern, kind, error):
+        self.src, self.pattern, self.error = src, pattern, error
+        texts = scan(src, pattern)
+        kinds = {t: kind(t) for t in set(texts)}  # names and symbols recur
+        self.toks = [(kinds[t], t, k) for k, t in enumerate(texts)]
         self.i = 0
+        for tok in self.toks:
+            if tok[0] is None:
+                self.err("unexpected character %r" % tok[1][0], tok)
 
-    def peek(self):
-        return self.toks[self.i]
+    def peek(self, ahead=0):
+        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
 
     def next(self):
         t = self.toks[self.i]
         self.i += 1
         return t
 
-    def err(self, msg, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(msg, tok[2], tok[3])
+    def at(self, kind):
+        return self.toks[self.i][0] == kind
 
-    def expect(self, kind, what=None):
+    def err(self, msg, tok=None):
+        line, col = token_position(self.src, self.pattern, (tok or self.peek())[2])
+        raise self.error("line %d, col %d: %s" % (line, col, msg))
+
+    def expect(self, kind):
         t = self.next()
         if t[0] != kind:
-            self.err("expected %s, found %r" % (what or kind, t[1] or "end of input"), t)
+            self.err("expected %r, found %r" % (kind, t[1] or "end of input"), t)
         return t
 
-    def at(self, kind, value=None):
-        t = self.peek()
-        return t[0] == kind and (value is None or t[1] == value)
 
-    # system := (VAR '=' expr ';')* 'root' VAR ';'?
-    def system(self, values):
-        bindings = {}
-        while True:
-            t = self.peek()
-            if t[0] == "IDENT" and t[1] == "root":
-                break
-            if t[0] != "VAR":
-                self.err("expected a declaration 'VAR = ...' or 'root VAR'", t)
-            name_tok = self.next()
-            if name_tok[1] in bindings:
-                self.err("duplicate binding for %s" % name_tok[1], name_tok)
-            self.expect("=", "'='")
-            bindings[name_tok[1]] = self.expr(values)
-            self.expect(";", "';'")
-        self.next()  # root
-        root = self.expect("VAR", "root variable name")
-        if self.at(";"):
-            self.next()
-        self.expect("EOF", "end of input")
-        for name, expr in bindings.items():
-            self._check_bound(expr, bindings)
-        if root[1] not in bindings:
-            self.err("unbound root variable %s" % root[1], root)
-        return EquationSystem(bindings, root[1])
+# Symbols come before integers so that "->" is an arrow and "-3" a
+# negative literal.  \w also matches numerals such as "½" and "²", which
+# token_kind rejects.
+_TYPE_TOKENS = re.compile(r"""[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
+    (->|\\/|[=;()\[\],:]|[^\W\d]\w*|-?\d+|.|\Z)""", re.VERBOSE)
+_TYPE_KINDS = {t: t for t in ("->", "\\/", "=", ";", "(", ")", "[", "]", ",", ":")}
+_TYPE_KINDS[""] = "EOF"
 
-    def _check_bound(self, expr, bindings):
-        todo = [expr]
-        while todo:
-            e = todo.pop()
-            if isinstance(e, RefExpr):
-                if e.name not in bindings:
-                    raise TermError("unbound variable %s" % e.name)
-            elif isinstance(e, UnionExpr):
-                todo.extend((e.left, e.right))
-            elif isinstance(e, (ObjExpr, ObjValExpr)):
-                todo.extend(sub for _, sub in e.fields)
 
-    # expr := atom ('\/' expr)?   right associative; values have no unions
-    def expr(self, values):
-        parts = [self.atom(values)]
-        while self.at("\\/") and not values:
-            self.next()
-            parts.append(self.atom(values))
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = UnionExpr(p, out)
-        return out
+def _kind(text):
+    return token_kind(text, _TYPE_KINDS)
 
-    def atom(self, values):
-        t = self.peek()
-        if t[0] == "(":
-            self.next()
-            inner = self.expr(values)
-            self.expect(")", "')'")
-            return inner
-        if t[0] == "VAR":
-            self.next()
-            return RefExpr(t[1])
-        if t[0] == "INT":
+
+def _fail(src, toks, k, msg):
+    """Raise the ParseError of token k, unless a character that starts no
+    token comes anywhere in src: the first such wins, as in a scanner
+    that stops at it."""
+    for j, text in enumerate(toks):
+        if _kind(text) is None:
+            k, msg = j, "unexpected character %r" % text[0]
+            break
+    raise ParseError(msg, *token_position(src, _TYPE_TOKENS, k))
+
+
+def _expected(src, toks, k, what):
+    _fail(src, toks, k, "expected %s, found %r" % (what, toks[k] or "end of input"))
+
+
+def _parse_expr(src, toks, i, values, refs):
+    """The expression that starts at token i, and the index after it;
+    appends the names it refers to to refs.
+
+    expr := atom ('\\/' atom)*, right associative; values have no unions.
+    atom := '(' expr ')' | VAR | INT | 'int'
+          | 'obj' '(' IDENT ',' '[' (IDENT sep expr (',' IDENT sep expr)*)? ']' ')'
+    An LL(1) loop over an explicit stack of open parentheses and open
+    object fields, so nesting depth costs no recursion.
+    """
+    sep = "->" if values else ":"
+    make = ObjValExpr if values else ObjExpr
+    stack = []  # ["(", outer parts] or ["[", outer parts, class, fields, seen, field]
+    parts = []  # the atoms before each '\\/' of the innermost open expression
+    while True:
+        t = toks[i]
+        if t == "obj":
+            if toks[i + 1] != "(":
+                _expected(src, toks, i + 1, "'('")
+            cls = toks[i + 2]
+            if _kind(cls) != "IDENT":
+                _expected(src, toks, i + 2, "class name")
+            if toks[i + 3] != ",":
+                _expected(src, toks, i + 3, "','")
+            if toks[i + 4] != "[":
+                _expected(src, toks, i + 4, "'['")
+            f = toks[i + 5]
+            if f == "]":
+                if toks[i + 6] != ")":
+                    _expected(src, toks, i + 6, "')'")
+                i += 7
+                atom = make(cls, [])
+            else:
+                if _kind(f) != "IDENT":
+                    _expected(src, toks, i + 5, "field name")
+                if toks[i + 6] != sep:
+                    _expected(src, toks, i + 6, "'%s'" % sep)
+                stack.append(["[", parts, cls, [], {f}, f])
+                parts = []
+                i += 7
+                continue
+        elif t[:1].isupper() and t[0].isalpha():  # _kind(t) == "VAR", inlined
+            refs.append(t)
+            i += 1
+            atom = RefExpr(t)
+        elif t == "(":
+            stack.append(["(", parts])
+            parts = []
+            i += 1
+            continue
+        elif t == "int":
+            if values:
+                _fail(src, toks, i, "'int' is a type, not a value")
+            i += 1
+            atom = IntExpr()
+        elif _kind(t) == "INT":
             if not values:
-                self.err("integer literals only appear in value terms", t)
-            self.next()
-            return IntLitExpr(int(t[1]))
-        if t[0] == "IDENT":
-            if t[1] == "int":
-                if values:
-                    self.err("'int' is a type, not a value", t)
-                self.next()
-                return IntExpr()
-            if t[1] == "obj":
-                return self.obj(values)
-            self.err("unexpected identifier %r" % t[1], t)
-        self.err("expected a term, found %r" % (t[1] or "end of input"), t)
-
-    def obj(self, values):
-        self.next()  # obj
-        self.expect("(", "'('")
-        cls = self.expect("IDENT", "class name")
-        self.expect(",", "','")
-        self.expect("[", "'['")
-        sep = "->" if values else ":"
-        fields = []
-        seen = set()
-        if not self.at("]"):
-            while True:
-                f = self.expect("IDENT", "field name")
-                if f[1] in seen:
-                    self.err("duplicate field %s" % f[1], f)
-                seen.add(f[1])
-                self.expect(sep, "'%s'" % sep)
-                fields.append((f[1], self.expr(values)))
-                if self.at(","):
-                    self.next()
-                    continue
+                _fail(src, toks, i, "integer literals only appear in value terms")
+            i += 1
+            atom = IntLitExpr(int(t))
+        elif _kind(t) == "IDENT":
+            _fail(src, toks, i, "unexpected identifier %r" % t)
+        else:
+            _expected(src, toks, i, "a term")
+        # an atom is complete: continue its union, or close the expression
+        # and with it the innermost open frame
+        while True:
+            if toks[i] == "\\/" and not values:
+                parts.append(atom)
+                i += 1
                 break
-        self.expect("]", "']'")
-        self.expect(")", "')'")
-        make = ObjValExpr if values else ObjExpr
-        return make(cls[1], fields)
+            while parts:
+                atom = UnionExpr(parts.pop(), atom)
+            if not stack:
+                return atom, i
+            frame = stack.pop()
+            parts = frame[1]
+            if frame[0] == "(":
+                if toks[i] != ")":
+                    _expected(src, toks, i, "')'")
+                i += 1
+                continue
+            fields, seen = frame[3], frame[4]
+            fields.append((frame[5], atom))
+            if toks[i] == ",":
+                f = toks[i + 1]
+                if _kind(f) != "IDENT":
+                    _expected(src, toks, i + 1, "field name")
+                if f in seen:
+                    _fail(src, toks, i + 1, "duplicate field %s" % f)
+                seen.add(f)
+                if toks[i + 2] != sep:
+                    _expected(src, toks, i + 2, "'%s'" % sep)
+                frame[5] = f
+                stack.append(frame)
+                parts = []
+                i += 3
+                break
+            if toks[i] != "]":
+                _expected(src, toks, i, "']'")
+            if toks[i + 1] != ")":
+                _expected(src, toks, i + 1, "')'")
+            i += 2
+            atom = make(frame[2], fields)
+
+
+def _parse_system(src, values):
+    """system := (VAR '=' expr ';')* 'root' VAR ';'?"""
+    toks = scan(src, _TYPE_TOKENS)
+    bindings = {}
+    refs = []  # per binding, the names it refers to in source order
+    i = 0
+    while toks[i] != "root":
+        name = toks[i]
+        if _kind(name) != "VAR":
+            _fail(src, toks, i, "expected a declaration 'VAR = ...' or 'root VAR'")
+        if name in bindings:
+            _fail(src, toks, i, "duplicate binding for %s" % name)
+        if toks[i + 1] != "=":
+            _expected(src, toks, i + 1, "'='")
+        refs.append([])
+        bindings[name], i = _parse_expr(src, toks, i + 2, values, refs[-1])
+        if toks[i] != ";":
+            _expected(src, toks, i, "';'")
+        i += 1
+    root = toks[i + 1]
+    if _kind(root) != "VAR":
+        _expected(src, toks, i + 1, "root variable name")
+    end = i + 3 if toks[i + 2] == ";" else i + 2
+    if toks[end]:
+        _expected(src, toks, end, "end of input")
+    for names in refs:  # from each end, as a stack walk of the expressions meets them
+        for name in reversed(names):
+            if name not in bindings:
+                raise TermError("unbound variable %s" % name)
+    if root not in bindings:
+        _fail(src, toks, i + 1, "unbound root variable %s" % root)
+    return EquationSystem(bindings, root)
 
 
 def parse_type(source):
     """Parse equation-system text into an EquationSystem of type expressions."""
-    return _Parser(source).system(values=False)
+    return _parse_system(source, values=False)
 
 
 def parse_value(source):
     """Parse equation-system text into an EquationSystem of value expressions."""
-    return _Parser(source).system(values=True)
+    return _parse_system(source, values=True)
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +741,7 @@ def canonicalize(t):
     """
     if t.uid in _canonical_uids:
         return t
-    nodes = list(subterm_closure(t))
+    nodes = subterm_closure(t)
     block = _partition(nodes)
 
     rep = {}

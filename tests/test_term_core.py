@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import coinfer
 from coinfer.term_core import (
     IntType,
     IntValue,
@@ -207,6 +212,30 @@ def test_subterm_closure_frozen_sizes():
     assert len(subterm_closure(type_from_source("T = int \\/ T; root T"))) == 2
     assert len(subterm_closure(type_from_source(NAT))) == 3
     assert len(subterm_closure(type_from_source(EVN))) == 4
+
+
+_INFLATE_SCRIPT = """
+import sys
+# objects allocated first move every later node to another address
+garbage = [[object()] * (i % 7) for i in range(int(sys.argv[1]))]
+from conftest import inflate, number_types, seeded
+from coinfer.term_core import print_type
+rng = seeded(5)
+for name, t in sorted(number_types().items()):
+    print(print_type(inflate(t, rng)))
+"""
+
+
+def test_subterm_closure_order_replays_seeded_inflate():
+    # discovery order, not memory order: two processes build the same graph
+    t = type_from_source(EVN)
+    assert subterm_closure(t)[0] is t
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(coinfer.__file__)), os.path.dirname(__file__)]))
+    outs = [subprocess.run([sys.executable, "-c", _INFLATE_SCRIPT, str(n)], env=env,
+                           capture_output=True, text=True, check=True).stdout
+            for n in (0, 50001)]
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_canonical_values():
