@@ -532,21 +532,19 @@ def type_to_logic(t, memo=None):
 # ---------------------------------------------------------------------------
 # the solver
 
-def _collect_vars(atom):
-    out = []
-    seen = set()
-    stack = list(reversed(atom.args))
+def _vars(terms):
+    """Each distinct unbound variable the terms reach, once, in the order
+    of a depth-first walk; a generator, so a caller that needs only the
+    first one stops there."""
+    stack = list(reversed(terms))
     visited = set()
     while stack:
-        t = stack.pop()
-        t = deref(t)
-        if id(t) in visited:
+        t = deref(stack.pop())
+        if isinstance(t, (Const, IntTerm)) or id(t) in visited:
             continue
         visited.add(id(t))
         if isinstance(t, Var):
-            if id(t) not in seen:
-                seen.add(id(t))
-                out.append(t)
+            yield t
         elif isinstance(t, UnionTerm):
             stack.extend((t.right, t.left))
         elif isinstance(t, ObjTerm):
@@ -562,7 +560,6 @@ def _collect_vars(atom):
             if t.tail is not None:
                 stack.append(t.tail)
             stack.extend(reversed(t.items))
-    return out
 
 
 def _rename_clause(clause):
@@ -617,7 +614,8 @@ class _Engine:
         # variables, so it is used without renaming.
         self.index = {}
         for c in clauses:
-            entry = (c, not any(_collect_vars(a) for a in [c.head] + c.body))
+            args = [a for atom in [c.head] + c.body for a in atom.args]
+            entry = (c, next(_vars(args), None) is None)
             every, by_key, unkeyed = self.index.setdefault(
                 (c.head.pred, len(c.head.args)), ([], {}, []))
             every.append(entry)
@@ -800,7 +798,7 @@ def solve(query, clauses, config=None):
         config = SolverConfig()
     atom = query.atom if isinstance(query, Query) else query
     engine = _Engine(clauses, config)
-    qvars = _collect_vars(atom)
+    qvars = list(_vars(atom.args))
     answers = []
     complete = False
     depth_hit_any = False

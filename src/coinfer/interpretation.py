@@ -25,6 +25,7 @@ from coinfer.term_core import (
     UnionType,
     _scc_order,
     canonicalize,
+    subterm_closure,
 )
 
 _INF = float("inf")
@@ -269,6 +270,93 @@ def _random_walk(t, rng, live, wit, max_nodes):
         node = obj.fields[todo[0]]
 
 
+def _bisimilar_to_any(v, earlier, budget):
+    """True if value v is bisimilar to one of the earlier values, False if
+    to none of them, None if the comparisons took more than `budget`
+    steps.
+
+    Each comparison is Hopcroft and Karp's test for deterministic
+    automata (1971): pair the roots, then walk the product breadth-first,
+    merging the two nodes of each pair in a union-find.  A pair whose
+    nodes differ in class and field names, or in their integer, tells the
+    values apart; a pair already merged is skipped.  A step is one
+    comparison begun or one merge.
+    """
+    def find(u):
+        while u in parent:
+            up = parent[u]
+            if up in parent:  # path halving
+                up = parent[u] = parent[up]
+            u = up
+        return u
+
+    for e in earlier:
+        if v is e:
+            return True
+        budget -= 1
+        parent = {v.uid: e.uid}  # uid -> uid of a node merged with it
+        queue = deque([(v, e)])
+        while queue:
+            a, b = queue.popleft()
+            if type(a) is not type(b):
+                break
+            if type(a) is IntValue:
+                if a.value != b.value:
+                    break
+                continue
+            if a.class_name != b.class_name or a.fields.keys() != b.fields.keys():
+                break
+            for f, x in a.fields.items():
+                y = b.fields[f]
+                rx, ry = find(x.uid), find(y.uid)
+                if rx != ry:
+                    budget -= 1
+                    if budget < 0:
+                        return None
+                    parent[rx] = ry
+                    queue.append((x, y))
+        else:
+            return True
+        if budget < 0:
+            return None
+    return False
+
+
+class _Distinct:
+    """Sampled values, told apart up to bisimilarity: add(v) is False when
+    v is bisimilar to a value added before.
+
+    Bisimilar values reach the same integers, so v is compared only with
+    the values whose set of integers equals its own, by the walks of
+    _bisimilar_to_any.  The walks of one add get a budget linear in the
+    size of v.  Once it runs out, this add and every later one compare
+    canonical nodes instead, so an add never costs much more than
+    canonicalizing v.  Until then nothing enters the intern table.
+    """
+
+    def __init__(self):
+        self.by_ints = {}  # frozenset of integers -> the values added
+        self.canon = None  # canonical uids of the values added, once used
+
+    def add(self, v):
+        if self.canon is None:
+            nodes = subterm_closure(v)
+            ints = frozenset(n.value for n in nodes if type(n) is IntValue)
+            same = self.by_ints.setdefault(ints, [])
+            dup = _bisimilar_to_any(v, same, 4 * len(nodes) + 16)
+            if dup is not None:
+                if not dup:
+                    same.append(v)
+                return not dup
+            self.canon = {canonicalize(e).uid
+                          for values in self.by_ints.values() for e in values}
+        c = canonicalize(v).uid
+        if c in self.canon:
+            return False
+        self.canon.add(c)
+        return True
+
+
 def sample_values(t, count, seed):
     """Up to `count` distinct members of t, deterministic for a seed.
 
@@ -293,17 +381,12 @@ def sample_values(t, count, seed):
         return wit_cache[node.uid]
 
     out = []
-    seen = set()
+    distinct = _Distinct()
 
     def emit(v):
-        if v is None:
-            return
-        c = canonicalize(v)
-        if c.uid in seen:
-            return
-        assert member(v, t), "sampler produced a non-member"
-        seen.add(c.uid)
-        out.append(v)
+        if v is not None and distinct.add(v):
+            assert member(v, t), "sampler produced a non-member"
+            out.append(v)
 
     emit(wit(t))
     if len(out) == count:

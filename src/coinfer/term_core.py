@@ -822,35 +822,53 @@ def _naming_pass(root):
 
 
 def _format_term(root, values):
+    """Equation-system text: one binding per named node, numbered in the
+    order a depth-first walk that enters each named node once, where it is
+    first met, discovers them; every other node is written inline.  Both
+    walks keep explicit stacks, so depth costs no recursion."""
     named = _naming_pass(root)
+    order = []  # the named nodes, by number
     names = {}
-    lines = []
+    todo = [root]
+    while todo:
+        n = todo.pop()
+        if n.uid in named:
+            if n.uid in names:
+                continue
+            names[n.uid] = "T%d" % len(names)
+            order.append(n)
+        todo.extend(reversed(_children(n)))
+
     sep = " -> " if values else ": "
 
-    def name_of(node):
-        if node.uid not in names:
-            names[node.uid] = "T%d" % len(names)
-            lines.append(None)  # reserve slot to keep discovery order
-            slot = len(lines) - 1
-            lines[slot] = "%s = %s;" % (names[node.uid], fmt(node, inline=True))
-        return names[node.uid]
+    def parts(n, parens):
+        """n written out: text, and (child, in parentheses) for each child."""
+        if isinstance(n, IntType):
+            return ["int"]
+        if isinstance(n, IntValue):
+            return [str(n.value)]
+        if isinstance(n, (ObjType, ObjValue)):
+            out = ["obj(%s, [" % n.class_name]
+            for k, f in enumerate(sorted(n.fields)):
+                out += [", " * (k > 0) + f + sep, (n.fields[f], False)]
+            return out + ["])"]
+        out = [(n.left, True), " \\/ ", (n.right, False)]
+        return ["("] + out + [")"] if parens else out
 
-    def fmt(node, inline=False, parens=False):
-        if node.uid in named and not inline:
-            return name_of(node)
-        if isinstance(node, IntType):
-            return "int"
-        if isinstance(node, IntValue):
-            return str(node.value)
-        if isinstance(node, (ObjType, ObjValue)):
-            inner = ", ".join("%s%s%s" % (f, sep, fmt(node.fields[f]))
-                              for f in sorted(node.fields))
-            return "obj(%s, [%s])" % (node.class_name, inner)
-        body = "%s \\/ %s" % (fmt(node.left, parens=True), fmt(node.right))
-        return "(%s)" % body if parens else body
-
-    rootname = name_of(root)
-    lines.append("root " + rootname)
+    lines = []
+    for node in order:
+        text = []
+        todo = parts(node, False)[::-1]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                text.append(item)
+            elif item[0].uid in named:
+                text.append(names[item[0].uid])
+            else:
+                todo.extend(reversed(parts(*item)))
+        lines.append("%s = %s;" % (names[node.uid], "".join(text)))
+    lines.append("root " + names[root.uid])
     return "\n".join(lines)
 
 

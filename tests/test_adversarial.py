@@ -1,12 +1,16 @@
 """Adversarial front-end inputs: deep nesting, a long record and a long
 union, through the library parsers and through `coinfer empty`, `member`
-and `solve`.  Each gets a verdict or a documented exit code (0 positive,
-1 negative, 3 a limit ran out), never a traceback.
+and `solve`, and the deep chain through the printers of `coinfer parse`,
+`empty --witness` and `sample`.  Each gets a verdict or a documented exit
+code (0 positive, 1 negative, 3 a limit ran out), never a traceback.
 """
 
 import pytest
 
+from conftest import trees_equal_oracle
+
 from coinfer.cli import main
+from coinfer.interpretation import member
 from coinfer.term_core import (
     IntType,
     IntValue,
@@ -116,13 +120,27 @@ def test_cli_verdicts_and_exit_codes(name, files, capsys):
         assert out.err.startswith("resource exhausted: ") and out.err.count("\n") == 1
 
 
-def test_parse_of_deep_chain_is_resource_exit(files, capsys):
-    # printing still recurses on depth; the CLI reports it in one line
-    assert main(["parse", files["deep_3000", "ty"]]) == 3
+def test_deep_chain_prints_and_parses_back(files, capsys):
+    # the printers keep explicit stacks, so depth costs no recursion
+    t = type_from_source(type_text("deep_3000"))
+    assert main(["parse", files["deep_3000", "ty"]]) == 0
     out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.startswith("resource exhausted: ") and out.err.count("\n") == 1
-    assert "Traceback" not in out.err
+    assert out.err == ""
+    assert trees_equal_oracle(type_from_source(out.out), t)
+
+    assert main(["empty", files["deep_3000", "ty"], "--witness"]) == 0
+    out = capsys.readouterr()
+    verdict, text = out.out.split("\n", 1)
+    assert verdict == "not empty" and out.err == ""
+    assert member(value_from_source(text), t)
+
+    assert main(["sample", files["deep_3000", "ty"], "--count", "3", "--seed", "0"]) == 0
+    out = capsys.readouterr()
+    texts = out.out.split("\n\n")
+    assert len(texts) == 3 and out.err == ""
+    values = [value_from_source(text) for text in texts]
+    assert all(member(v, t) for v in values)
+    assert not any(trees_equal_oracle(a, b) for i, a in enumerate(values) for b in values[:i])
 
 
 def test_memory_error_is_resource_exit(files, capsys, monkeypatch):

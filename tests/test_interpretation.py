@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from coinfer import interpretation, term_core
 from coinfer.emptiness import not_empty, witness
 from coinfer.interpretation import member, sample_values
 from coinfer.term_core import (
@@ -13,6 +14,7 @@ from coinfer.term_core import (
     UnionType,
     canonicalize,
     print_value,
+    subterm_closure,
     type_from_source,
     value_from_source,
 )
@@ -23,9 +25,11 @@ from conftest import (
     chain,
     fan,
     inflate,
+    number_types,
     random_type,
     random_value,
     seeded,
+    trees_equal_oracle,
     union_tower,
 )
 
@@ -307,3 +311,95 @@ def test_forced_cyclic_member_on_a_long_cycle_does_not_recurse():
     vals = sample_values(t, 3, seed=0)
     assert len({canonicalize(v).uid for v in vals}) == 3
     assert all(member(v, t) for v in vals)
+
+
+# --- telling sampled values apart ---------------------------------------------
+
+def mutated(v, rng):
+    """A copy of value v with one node changed: an integer moved by one, a
+    class renamed or a field dropped."""
+    c = inflate(v, rng, copies=1)
+    n = rng.choice(subterm_closure(c))
+    if isinstance(n, IntValue):
+        n.value += 1
+    elif n.fields and rng.random() < 0.5:
+        del n.fields[rng.choice(sorted(n.fields))]
+    else:
+        n.class_name += "x"
+    return c
+
+
+def test_walk_agrees_with_oracle_and_canonicalize():
+    rng = seeded(4711)
+    bisimilar = 0
+    for _ in range(300):
+        a = random_value(rng, rng.randint(1, 9), max_int=2)
+        others = [inflate(a, rng), mutated(a, rng), random_value(rng, rng.randint(1, 9), max_int=2)]
+        for b in others:
+            same = trees_equal_oracle(a, b)
+            bisimilar += same
+            assert (canonicalize(a) is canonicalize(b)) == same
+            assert interpretation._bisimilar_to_any(a, [b], 10**6) is same
+            assert interpretation._bisimilar_to_any(b, others, 10**6) is True
+            seen = interpretation._Distinct()
+            assert seen.add(b)
+            assert seen.add(a) is not same
+            assert not seen.add(inflate(a, rng))
+    assert bisimilar > 300  # every inflated copy, and some other pairs
+
+
+def _sample_texts(t, count):
+    return [print_value(v) for v in sample_values(t, count, seed=count)]
+
+
+# count -> (fixed shapes, number of random types).  Shapes whose values
+# are long are left out where both paths together take seconds.
+FALLBACK_CASES = {
+    3: (("nat", "pos", "evn", "odd", "zer", "fan 20", "fan 40", "fan 58", "fan 150",
+         "tower 48", "tower 1500", "chain 3000"), 300),
+    10: (("nat", "pos", "evn", "odd", "zer", "fan 20", "fan 40", "fan 58", "fan 150",
+          "tower 48", "tower 1500"), 60),
+    100: (("nat", "odd", "fan 20", "fan 58", "tower 48"), 3),
+}
+
+
+def _shape(name):
+    kind, _, n = name.partition(" ")
+    if not n:
+        return number_types()[name]
+    return {"fan": fan, "tower": union_tower, "chain": chain}[kind](int(n))
+
+
+@pytest.mark.parametrize("count", sorted(FALLBACK_CASES))
+def test_canonical_fallback_gives_the_same_samples(count, monkeypatch):
+    # the canonical uids that take over when the walks run out of steps
+    # keep the same values as the walks would
+    names, randoms = FALLBACK_CASES[count]
+    cases = [(name, _shape(name)) for name in names]
+    rng = seeded(5150)
+    while len(cases) < len(names) + randoms:
+        t = random_type(rng, rng.randint(1, 10))
+        if not_empty(t):
+            cases.append(("random %d" % len(cases), t))
+    walked = {name: _sample_texts(t, count) for name, t in cases}
+    walk = interpretation._bisimilar_to_any
+    for first_out in (0, 3):  # out of steps from the first add, or from the fourth on
+        calls = []
+
+        def give_up(v, earlier, budget):
+            calls.append(v)
+            return None if len(calls) > first_out else walk(v, earlier, budget)
+
+        monkeypatch.setattr(interpretation, "_bisimilar_to_any", give_up)
+        for name, t in cases:
+            del calls[:]
+            assert _sample_texts(t, count) == walked[name], (name, first_out)
+
+
+@pytest.mark.parametrize("name", ["zer", "nat", "pos", "evn", "odd", "fan 40"])
+def test_sampling_leaves_the_intern_table_alone(name):
+    t = _shape(name)
+    before = (len(term_core._canonical), len(term_core._canonical_uids))
+    for seed in range(5):
+        assert sample_values(t, 3, seed)
+    assert (len(term_core._canonical), len(term_core._canonical_uids)) == before
