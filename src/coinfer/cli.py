@@ -91,19 +91,23 @@ def cmd_compile(args):
 
 
 def cmd_subtype(args):
-    # canonical inputs let subtype and derive skip their own canonicalization
-    t1 = canonicalize(_load_type(args.left))
-    t2 = canonicalize(_load_type(args.right))
-    verdict = subtype(t1, t2, memo_limit=args.memo_limit)
+    t1 = _load_type(args.left)
+    t2 = _load_type(args.right)
+    derivation = None
+    if args.trace:
+        derivation = derive(t1, t2, memo_limit=args.memo_limit)
+        verdict = derivation is not None
+    else:
+        verdict = subtype(t1, t2, memo_limit=args.memo_limit)
     if args.format == "json":
         data = {"subtype": verdict}
-        if args.trace and verdict:
-            data["derivation"] = derive(t1, t2, memo_limit=args.memo_limit).to_dict()
+        if derivation is not None:
+            data["derivation"] = derivation.to_dict()
         _emit_json(data)
     else:
         print("subtype" if verdict else "not a subtype")
-        if args.trace and verdict:
-            print(derive(t1, t2, memo_limit=args.memo_limit).format_text())
+        if derivation is not None:
+            print(derivation.format_text())
     return 0 if verdict else 1
 
 

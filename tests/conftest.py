@@ -1,8 +1,10 @@
-"""Shared helpers: independent equality oracle and random graph generators.
+"""Shared helpers: independent oracles and random graph generators.
 
-The oracle here deliberately uses a different algorithm (product-graph
-search) than the library's canonicalization, so the two can check each
-other.
+The oracles here deliberately use different algorithms than the
+library: product-graph search for equality instead of canonicalization,
+and plain Kleene iteration over every reachable judgment for subtyping
+instead of the library's component-wise engine, so each pair can check
+each other.
 """
 
 import random
@@ -58,6 +60,105 @@ def trees_equal_oracle(t1, t2):
             return False
         todo.extend(zip(node_children(a), node_children(b)))
     return True
+
+
+def _nu_mu(items, holds):
+    """nu X. mu Y. {i in items : holds(i, X, Y)}, by plain Kleene
+    iteration: the inner least fixpoint from the empty set, the outer
+    greatest one from all items."""
+    x = set(items)
+    while True:
+        y = set()
+        while True:
+            grown = {i for i in items if holds(i, x, y)}
+            if grown == y:
+                break
+            y = grown
+        if y == x:
+            return x
+        x = y
+
+
+def inhabited_oracle(t):
+    """uids of the inhabited nodes reachable from t: int is inhabited, an
+    object when all its fields are (greatest fixpoint, so infinite
+    values count), a union when one of its sides is (least fixpoint, so
+    a cycle of unions alone is empty)."""
+    nodes = {}
+    todo = [t]
+    while todo:
+        n = todo.pop()
+        if n.uid not in nodes:
+            nodes[n.uid] = n
+            todo.extend(node_children(n))
+
+    def holds(uid, x, y):
+        n = nodes[uid]
+        if isinstance(n, IntType):
+            return True
+        if isinstance(n, ObjType):
+            return all(c.uid in x for c in n.fields.values())
+        return n.left.uid in y or n.right.uid in y
+
+    return _nu_mu(list(nodes), holds)
+
+
+def subtype_oracle(t1, t2):
+    """The paper's subtyping rules, written out apart from the library.
+
+    A judgment holds in nu X. mu Y over all judgments reachable from
+    (t1, t2): the union-left, object and distribution rules read their
+    premises from X, the two union-right rules from Y, so every cycle of
+    a derivation applies one of the former.  An uninhabited non-union
+    left side is below anything; a union on the left is split first."""
+    live = inhabited_oracle(t1)
+    variants = {}
+
+    def variant(l, fname, branch):
+        fields = dict(l.fields, **{fname: branch})
+        key = (l.class_name, tuple((f, fields[f].uid) for f in sorted(fields)))
+        if key not in variants:
+            variants[key] = ObjType(l.class_name, fields)
+            if all(c.uid in live for c in fields.values()):
+                live.add(variants[key].uid)
+        return variants[key]
+
+    def options(l, r):
+        if isinstance(l, UnionType):
+            return [("or-left", [(l.left, r), (l.right, r)])]
+        if l.uid not in live:
+            return [("empty", [])]
+        out = []
+        if isinstance(l, IntType) and isinstance(r, IntType):
+            out.append(("int", []))
+        if isinstance(l, ObjType):
+            unions = [f for f in sorted(l.fields) if isinstance(l.fields[f], UnionType)]
+            if unions:
+                u = l.fields[unions[0]]
+                out.append(("distr", [(variant(l, unions[0], u.left), r),
+                                      (variant(l, unions[0], u.right), r)]))
+            if (isinstance(r, ObjType) and r.class_name == l.class_name
+                    and set(r.fields) <= set(l.fields)):
+                out.append(("obj", [(l.fields[f], r.fields[f]) for f in r.fields]))
+        if isinstance(r, UnionType):
+            out.append(("or-right", [(l, r.left)]))
+            out.append(("or-right", [(l, r.right)]))
+        return out
+
+    rules = {}
+    todo = [(t1, t2)]
+    while todo:
+        j = todo.pop()
+        if j not in rules:
+            rules[j] = options(*j)
+            for _, premises in rules[j]:
+                todo.extend(premises)
+
+    def holds(j, x, y):
+        return any(all(p in (y if rule == "or-right" else x) for p in premises)
+                   for rule, premises in rules[j])
+
+    return (t1, t2) in _nu_mu(list(rules), holds)
 
 
 def random_type(rng, size):

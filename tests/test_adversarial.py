@@ -1,8 +1,9 @@
 """Adversarial front-end inputs: deep nesting, a long record and a long
 union, through the library parsers and through `coinfer empty`, `member`
 and `solve`, and the deep chain through the printers of `coinfer parse`,
-`empty --witness` and `sample`.  Each gets a verdict or a documented exit
-code (0 positive, 1 negative, 3 a limit ran out), never a traceback.
+`empty --witness` and `sample` and through `derive` and `subtype --trace`.
+Each gets a verdict or a documented exit code (0 positive, 1 negative,
+3 a limit ran out), never a traceback.
 """
 
 import pytest
@@ -11,6 +12,7 @@ from conftest import trees_equal_oracle
 
 from coinfer.cli import main
 from coinfer.interpretation import member
+from coinfer.subtyping import derive
 from coinfer.term_core import (
     IntType,
     IntValue,
@@ -152,3 +154,23 @@ def test_memory_error_is_resource_exit(files, capsys, monkeypatch):
     assert main(["empty", files["record_10000", "ty"]]) == 3
     out = capsys.readouterr()
     assert out.out == "" and out.err == "resource exhausted: MemoryError\n"
+
+
+def test_derivation_of_deep_chains(files, capsys, monkeypatch):
+    # each node prints its whole subterm, so printing a deep derivation
+    # is quadratic by design; a constant printer leaves only the walks
+    monkeypatch.setattr("coinfer.subtyping._inline", lambda t: "T")
+    t = type_from_source(type_text("deep_3000"))
+    d = derive(t, type_from_source(type_text("deep_3000")))
+    assert d is not None and len(d.nodes) == 3001
+    node = d.root
+    for _ in range(3000):
+        assert node.rule == "obj"
+        [node] = node.children
+    assert node.rule == "int" and node.children == []
+    assert len(d.format_text().split("\n")) == 3001
+    assert [n["id"] for n in d.to_dict()["nodes"]] == list(range(3001))
+
+    assert main(["subtype", files["deep_3000", "ty"], files["deep_3000", "ty"], "--trace"]) == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("subtype\n#0 T  <=  T   [obj]\n") and out.err == ""

@@ -91,6 +91,26 @@ def test_subtype_trace_canonicalizes_each_input_once(tmp_path, capsys, monkeypat
     assert len(partitions) == 2
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("pair,code", [(("odd.ty", "nat.ty"), 0), (("nat.ty", "odd.ty"), 1)])
+def test_subtype_trace_runs_the_engine_once(tmp_path, capsys, monkeypatch, fmt, pair, code):
+    import coinfer.subtyping as subtyping
+
+    built = []
+
+    class Counting(subtyping._Engine):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(subtyping, "_Engine", Counting)
+    paths = {"odd.ty": put(tmp_path, "odd.ty", ODD), "nat.ty": put(tmp_path, "nat.ty", NAT)}
+    assert main(["subtype", paths[pair[0]], paths[pair[1]], "--trace", "--format", fmt]) == code
+    out = capsys.readouterr().out
+    assert ("derivation" in out if fmt == "json" else "<=" in out) == (code == 0)
+    assert len(built) == 1
+
+
 def test_subtype_budget_reported_as_exit3(tmp_path, capsys):
     nat = put(tmp_path, "nat.ty", NAT)
     rc = main(["subtype", nat, nat, "--memo-limit", "1"])
