@@ -296,6 +296,19 @@ def _unify_recs(ra, rb, trail, seen):
     return True
 
 
+def _lookup(pattern, other, trail, seen):
+    """Unify a clause head's [K:V] record pattern, such as rec_acc's [F:T],
+    with a goal's argument, after the head's other arguments: once they
+    bind K to a field name, V unifies with that field of a closed record of
+    any width.  Otherwise it is plain unification, under which a key still
+    unbound matches a one-field record only."""
+    (key, val), = pattern.pairs
+    key, rec = deref(key), _norm_rec(other)
+    if isinstance(key, Const) and rec is not _FAIL and not rec[1] and rec[2] is None:
+        return key.name in rec[0] and _unify(val, rec[0][key.name], trail, seen)
+    return _unify(other, pattern, trail, seen)
+
+
 def unify_rational(a, b):
     """Unify two terms without an occurs check; bindings stay in place on
     success and are rolled back on failure."""
@@ -655,14 +668,20 @@ class _Engine:
         return ((atom.pred, len(atom.args)) in self.fact_preds
                 and all(isinstance(deref(a), Const) for a in atom.args))
 
-    def _unify_atom(self, a, b):
+    def _unify_atom(self, a, b, head=False):
+        """Unify goal a with b: an ancestor goal, or a clause head if head
+        is true.  A head's [K:V] patterns are unified last, by _lookup."""
         if a.pred != b.pred or len(a.args) != len(b.args):
             return False
         seen = set()
+        later = []
         for x, y in zip(a.args, b.args):
-            if not _unify(x, y, self.trail, seen):
+            if (head and type(y) is Record and y.tail is None and len(y.pairs) == 1
+                    and isinstance(y.pairs[0][0], Var)):
+                later.append((y, x))
+            elif not _unify(x, y, self.trail, seen):
                 return False
-        return True
+        return not later or all(_lookup(p, x, self.trail, seen) for p, x in later)
 
     def _sub_position(self, small, large, obligations):
         s, l = deref(small), deref(large)
@@ -729,7 +748,7 @@ class _Engine:
         for clause, ground in self._candidates(atom):
             fresh = clause if ground else _rename_clause(clause)
             mark = len(self.trail)
-            if self._unify_atom(atom, fresh.head):
+            if self._unify_atom(atom, fresh.head, head=True):
                 yield from self._prove_seq(fresh.body, 0, child, limit)
             _undo(self.trail, mark)
 

@@ -108,27 +108,25 @@ class ObjValue(ValueTerm):
         return "<val#%d obj %s/%d>" % (self.uid, self.class_name, len(self.fields))
 
 
+# dispatch on the exact node class: the hottest helpers run no isinstance chain
+_CHILDREN = {
+    IntType: lambda node: (),
+    UnionType: lambda node: (node.left, node.right),
+    ObjType: lambda node: tuple([node.fields[f] for f in sorted(node.fields)]),
+    IntValue: lambda node: (),
+    ObjValue: lambda node: tuple([node.fields[f] for f in sorted(node.fields)]),
+}
+_SHAPE = {  # local constructor signature, ignoring children
+    IntType: lambda node: ("int",),
+    UnionType: lambda node: ("union",),
+    ObjType: lambda node: ("obj", node.class_name, tuple(sorted(node.fields))),
+    IntValue: lambda node: ("intval", node.value),
+    ObjValue: lambda node: ("objval", node.class_name, tuple(sorted(node.fields))),
+}
+
+
 def _children(node):
-    if isinstance(node, (IntType, IntValue)):
-        return ()
-    if isinstance(node, (ObjType, ObjValue)):
-        return tuple(node.fields[f] for f in sorted(node.fields))
-    return (node.left, node.right)
-
-
-def _shape(node):
-    """Local constructor signature, ignoring children."""
-    if isinstance(node, IntType):
-        return ("int",)
-    if isinstance(node, ObjType):
-        return ("obj", node.class_name, tuple(sorted(node.fields)))
-    if isinstance(node, UnionType):
-        return ("union",)
-    if isinstance(node, IntValue):
-        return ("intval", node.value)
-    if isinstance(node, ObjValue):
-        return ("objval", node.class_name, tuple(sorted(node.fields)))
-    raise TypeError("not a term node: %r" % (node,))
+    return _CHILDREN[type(node)](node)
 
 
 def subterm_closure(t):
@@ -561,8 +559,9 @@ _canonical_uids = set()
 _START_CANDIDATES = 4  # start blocks serialized and compared per component
 
 
-def _partition(nodes):
-    """Coarsest bisimulation-stable partition; returns node uid -> block id.
+def _partition(kids, shapes):
+    """Coarsest bisimulation-stable partition of the nodes 0..n-1 with the
+    given children (as indices) and shapes; returns a block id per node.
 
     Blocks start as the local shapes.  Each pass signs the dirty nodes
     (at first all of them) by their children's block ids as they stood
@@ -573,19 +572,17 @@ def _partition(nodes):
     pass: O(m log n) in all (Hopcroft 1971; Valmari & Lehtinen 2008).
     Members no dirty node touched keep the block's last shared signature.
     """
-    index = {n.uid: i for i, n in enumerate(nodes)}
-    kids = [[index[c.uid] for c in _children(n)] for n in nodes]
-    parents = [[] for _ in nodes]
+    parents = [[] for _ in kids]
     for i, ks in enumerate(kids):
         for c in ks:
             parents[c].append(i)
-    shapes = {}
-    block = [shapes.setdefault(_shape(n), len(shapes)) for n in nodes]
-    members = [set() for _ in shapes]
+    ids = {}
+    block = [ids.setdefault(shape, len(ids)) for shape in shapes]
+    members = [set() for _ in ids]
     for i, b in enumerate(block):
         members[b].add(i)
     shared = [None] * len(members)  # block id -> signature of its clean members
-    dirty = range(len(nodes))
+    dirty = range(len(kids))
     while dirty:
         signed = {}  # block id -> signature -> dirty members
         for i in dirty:
@@ -618,7 +615,7 @@ def _partition(nodes):
                     block[i] = nb
                 moved.extend(part)
         dirty = {p for i in moved for p in parents[i]}
-    return {n.uid: block[i] for i, n in enumerate(nodes)}
+    return block
 
 
 def _scc_order(block_ids, block_children):
@@ -673,23 +670,18 @@ def _serialize_block(start, block_children, block_shape, canon_of_block):
     by uid.  Iterative so deep chains do not recurse."""
     order = {}
     out = []
-    todo = [("visit", start)]
+    todo = [start]
     while todo:
-        op, b = todo.pop()
-        if op == "ref":
-            out.append(("r", order[b]))
-            continue
+        b = todo.pop()
         if b in canon_of_block:
             out.append(("x", canon_of_block[b].uid))
-            continue
-        if b in order:
+        elif b in order:
             out.append(("r", order[b]))
-            continue
-        order[b] = len(order)
-        kids = block_children[b]
-        out.append(("n", block_shape[b], len(kids)))
-        for c in reversed(kids):
-            todo.append(("visit", c))
+        else:
+            order[b] = len(order)
+            kids = block_children[b]
+            out.append(("n", block_shape[b], len(kids)))
+            todo.extend(reversed(kids))
     return tuple(out)
 
 
@@ -732,27 +724,89 @@ def _scc_key(scc, block_children, block_shape, canon_of_block):
         colour = refined
 
 
+# shape tag -> node class, whose constructor takes shape[1:2]
+_NODE = {"int": IntType, "union": UnionType, "obj": ObjType,
+         "intval": IntValue, "objval": ObjValue}
+
+
+def _attach(node, shape, kids):
+    """Give a fresh node of a shape its children, in _children order."""
+    if shape[0] == "union":
+        node.left, node.right = kids
+    elif len(shape) == 3:
+        node.fields = dict(zip(shape[2], kids))
+    return node
+
+
+def _intern(shape, kids):
+    """The canonical node of a shape over canonical children, interned
+    under the key _serialize_block gives a one-block component of the
+    quotient without a self-loop."""
+    key = (("n", shape, len(kids)),) + tuple([("x", c.uid) for c in kids])
+    hit = _canonical.get(key)
+    if hit is None:
+        hit = _canonical[key] = _attach(_NODE[shape[0]](*shape[1:2]), shape, kids)
+        _canonical_uids.add(hit.uid)
+    return hit
+
+
 def canonicalize(t):
     """Return the canonical node for t's bisimulation class.
 
     Canonical nodes are interned globally: bisimilar inputs map to the
     identical node object, so node identity after canonicalization is
-    bisimulation equality.
+    bisimulation equality.  An acyclic closure is hash-consed bottom-up
+    with no partition (Filliatre & Conchon, "Type-safe modular
+    hash-consing", 2006).  A closure with a cycle is minimized by
+    _partition, and each component of the quotient is interned under one
+    key.
     """
     if t.uid in _canonical_uids:
         return t
-    nodes = subterm_closure(t)
-    block = _partition(nodes)
+    # One depth-first walk on an explicit stack numbers the closure and
+    # reads each node's shape and children once.  Until an edge reaches a
+    # node still open on the walk (a cycle), each node is hash-consed when
+    # it closes, after all its children.
+    index = {}
+    nodes, shapes, kids, canon = [], [], [], []
+    acyclic = True
+    todo = [t]
+    while todo:
+        n = todo.pop()
+        if type(n) is int:  # node number n closes
+            if acyclic:
+                node = nodes[n]
+                canon[n] = node if node.uid in _canonical_uids else _intern(
+                    shapes[n], [canon[index[c.uid]] for c in kids[n]])
+            continue
+        i = index.get(n.uid)
+        if i is not None:
+            acyclic = acyclic and canon[i] is not None
+            continue
+        todo.append(len(nodes))
+        index[n.uid] = len(nodes)
+        nodes.append(n)
+        shapes.append(_SHAPE[type(n)](n))
+        canon.append(None)
+        ks = _CHILDREN[type(n)](n)
+        kids.append(ks)
+        todo.extend(ks)
+    if acyclic:
+        return canon[0]
 
-    rep = {}
-    for n in nodes:
-        rep.setdefault(block[n.uid], n)
-    block_children = {b: tuple(block[c.uid] for c in _children(n))
-                      for b, n in rep.items()}
-    block_shape = {b: _shape(n) for b, n in rep.items()}
+    kids = [[index[c.uid] for c in ks] for ks in kids]
+    block = _partition(kids, shapes)
+    rep = {b: i for i, b in enumerate(block)}  # any member: the partition is stable
+    block_children = {b: tuple([block[c] for c in kids[i]]) for b, i in rep.items()}
+    block_shape = {b: shapes[i] for b, i in rep.items()}
 
     canon_of_block = {}
     for scc in _scc_order(list(rep), block_children):
+        b = scc[0]
+        if len(scc) == 1 and b not in block_children[b]:
+            canon_of_block[b] = _intern(block_shape[b],
+                                        [canon_of_block[c] for c in block_children[b]])
+            continue
         start, key = _scc_key(scc, block_children, block_shape, canon_of_block)
         hit = _canonical.get(key)
         if hit is not None:
@@ -764,32 +818,14 @@ def canonicalize(t):
                     canon_of_block[b] = node
                     todo.extend(zip(block_children[b], _children(node)))
             continue
-        fresh = {}
+        fresh = {b: _NODE[block_shape[b][0]](*block_shape[b][1:2]) for b in scc}
         for b in scc:
-            shape = block_shape[b]
-            if shape[0] == "int":
-                fresh[b] = IntType()
-            elif shape[0] == "union":
-                fresh[b] = UnionType()
-            elif shape[0] == "obj":
-                fresh[b] = ObjType(shape[1])
-            elif shape[0] == "intval":
-                fresh[b] = IntValue(shape[1])
-            else:
-                fresh[b] = ObjValue(shape[1])
-        for b in scc:
-            node = fresh[b]
-            kids = [canon_of_block.get(c) or fresh[c] for c in block_children[b]]
-            shape = block_shape[b]
-            if shape[0] == "union":
-                node.left, node.right = kids
-            elif shape[0] in ("obj", "objval"):
-                node.fields = dict(zip(shape[2], kids))
-        for b in scc:
-            canon_of_block[b] = fresh[b]
+            _attach(fresh[b], block_shape[b],
+                    [canon_of_block.get(c) or fresh[c] for c in block_children[b]])
             _canonical_uids.add(fresh[b].uid)
+        canon_of_block.update(fresh)
         _canonical[key] = fresh[start]
-    return canon_of_block[block[t.uid]]
+    return canon_of_block[block[0]]
 
 
 def equal(t1, t2):

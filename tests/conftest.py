@@ -182,6 +182,24 @@ def random_type(rng, size):
     return nodes[0]
 
 
+def random_acyclic_type(rng, size, classes=CLASS_POOL):
+    """Random acyclic type graph of `size` nodes: each node's children are
+    drawn from the nodes made before it, so subterms are shared and
+    repeated shapes are common; the last node made is the root."""
+    nodes = [IntType()]
+    for _ in range(size - 1):
+        kind = rng.choice(("int", "obj", "obj", "union"))
+        if kind == "int":
+            node = IntType()
+        elif kind == "obj":
+            names = rng.sample(FIELD_POOL, rng.randint(0, len(FIELD_POOL)))
+            node = ObjType(rng.choice(classes), {f: rng.choice(nodes) for f in names})
+        else:
+            node = UnionType(rng.choice(nodes), rng.choice(nodes))
+        nodes.append(node)
+    return nodes[-1]
+
+
 def random_connected_type(rng, size):
     """Random type graph in which all `size` nodes are reachable from the
     returned root: each node after the first fills a free child slot of

@@ -79,9 +79,9 @@ def test_subtype_trace_canonicalizes_each_input_once(tmp_path, capsys, monkeypat
     partitions = []
     real = term_core._partition
 
-    def counting(nodes):
-        partitions.append(len(nodes))
-        return real(nodes)
+    def counting(kids, shapes):
+        partitions.append(len(kids))
+        return real(kids, shapes)
 
     monkeypatch.setattr(term_core, "_partition", counting)
     odd = put(tmp_path, "odd.ty", ODD)
@@ -313,6 +313,21 @@ def test_solve_no_answers_is_negative(tmp_path, capsys):
     prog = put(tmp_path, "prog.src", ZERO_SUCC)
     assert main(["solve", prog, "--query", "dec_field(zero, F)"]) == 1
     assert "no answers" in capsys.readouterr().out
+
+
+PAIR = """
+class Pair { fst; snd; Pair(a, b) { this.fst = a; this.snd = b; } second() { return this.snd; } }
+"""
+
+
+@pytest.mark.parametrize("query,answer", [
+    ("invoke(obj(pair,[fst:int,snd:obj(k,[])]), second, [], R)", "R = obj(k,[])"),
+    ("field_acc(obj(pair,[fst:int,snd:obj(k,[])]), fst, R)", "R = int"),
+])
+def test_solve_multi_field_record_access(tmp_path, capsys, query, answer):
+    prog = put(tmp_path, "pair.prog", PAIR)
+    assert main(["solve", prog, "--query", query]) == 0
+    assert capsys.readouterr().out.splitlines() == [answer]
 
 
 def test_solve_bad_query_is_usage_error(tmp_path, capsys):

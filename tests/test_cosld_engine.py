@@ -8,6 +8,8 @@ import pytest
 from coinfer.horn_compiler import (
     Atom,
     Const,
+    HornClause,
+    IntTerm,
     ListTerm,
     ObjTerm,
     Record,
@@ -311,20 +313,70 @@ def test_solve_multi_field_constructor():
     assert sorted(k for k, _ in rec.pairs) == ["f", "g"] and rec.tail is None
 
 
-def test_multi_field_record_access_unsupported():
-    # record lookup is defined for the exact singleton shape only; wider
-    # records do not unify with it, so the query fails finitely
-    src = """
-    class Pair {
-        f; g;
-        Pair(a, b) { this.f = a; this.g = b; }
-    }
-    """
-    clauses = clauses_for(src)
-    pair = type_to_logic(type_from_source(
-        "T = obj(pair, [f: int, g: int]); root T;"))
-    res = solve(Atom("field_acc", [pair, Const("f"), Var("T")]), clauses,
+PAIR = """
+class Pair {
+    fst; snd;
+    Pair(a, b) { this.fst = a; this.snd = b; }
+    second() { return this.snd; }
+}
+"""
+PAIR_TYPE = "T = obj(pair, [fst: int, snd: obj(k, [])]); root T;"
+
+
+@pytest.mark.parametrize("pred,middle,expect", [
+    ("invoke", [Const("second"), ListTerm([])], "obj(k, [])"),
+    ("field_acc", [Const("fst")], "int"),
+    ("field_acc", [Const("snd")], "obj(k, [])"),
+], ids=["invoke_second", "field_acc_fst", "field_acc_snd"])
+def test_multi_field_record_access(pred, middle, expect):
+    # rec_acc's [F:T] pattern is unified after the key F: the bound field
+    # name is then looked up in a record of any width
+    pair = type_to_logic(type_from_source(PAIR_TYPE))
+    res = solve(Atom(pred, [pair] + middle + [Var("R")]), clauses_for(PAIR), SolverConfig())
+    assert res.complete and len(res.answers) == 1
+    got = logic_to_type(res.answers[0].bindings["R"])
+    assert equal(got, type_from_source("T = %s; root T;" % expect))
+
+
+def test_multi_field_record_access_missing_field_fails():
+    pair = type_to_logic(type_from_source(PAIR_TYPE))
+    res = solve(Atom("field_acc", [pair, Const("thd"), Var("R")]), clauses_for(PAIR),
                 SolverConfig())
+    assert res.answers == [] and res.complete
+
+
+def test_multi_field_record_access_unbound_field_enumerates_fields():
+    # has_field binds the field name before rec_acc runs
+    pair = type_to_logic(type_from_source(PAIR_TYPE))
+    res = solve(Atom("field_acc", [pair, Var("F"), Var("R")]), clauses_for(PAIR),
+                SolverConfig())
+    assert res.complete
+    assert [deref(a.bindings["F"]).name for a in res.answers] == ["fst", "snd"]
+
+
+def test_unbound_key_over_multi_field_record_unsupported():
+    # a [K:V] pattern whose key nothing binds still matches only a
+    # one-field record: the wider record fails finitely
+    rec = deref(type_to_logic(type_from_source(PAIR_TYPE)).rec)
+    clauses = clauses_for(PAIR)
+    res = solve(Atom("rec_acc", [rec, Var("K"), Var("V")]), clauses, SolverConfig())
+    assert res.answers == [] and res.complete
+    one = Record([("fst", type_to_logic(type_from_source("T = int; root T;")))])
+    res = solve(Atom("rec_acc", [one, Var("K"), Var("V")]), clauses, SolverConfig())
+    assert [deref(a.bindings["K"]).name for a in res.answers] == ["fst"]
+
+
+def test_record_bound_by_a_goal_is_not_looked_up():
+    # only a clause head's [K:V] pattern is a lookup: the one-field record
+    # rec_acc binds R to stays closed, so the wider record of p's fact
+    # does not unify with it
+    r, k, t = Var("R"), Var("K"), Var("T")
+    wide = Record([("fst", IntTerm(1)), ("snd", IntTerm(2))])
+    clauses = clauses_for(PAIR) + [
+        HornClause(Atom("p", [wide, Const("fst")])),
+        HornClause(Atom("q", [r, k]), [Atom("rec_acc", [r, k, t]), Atom("p", [r, k])]),
+    ]
+    res = solve(Atom("q", [Var("R"), Var("K")]), clauses, SolverConfig())
     assert res.answers == [] and res.complete
 
 

@@ -20,7 +20,7 @@ from conftest import (
 )
 
 from coinfer.emptiness import inhabited, not_empty
-from coinfer.term_core import ObjType, canonicalize, subterm_closure
+from coinfer.term_core import IntType, ObjType, canonicalize, subterm_closure
 
 
 def _canonical_map(t, c):
@@ -115,3 +115,27 @@ def test_inhabited_matches_not_empty_on_random_types():
 @pytest.mark.parametrize("shape", [chain, spine, fan, union_tower])
 def test_inhabited_matches_not_empty_on_baseline_shapes(shape):
     _assert_inhabited_matches(shape(60))
+
+
+def diamond_ladder(rungs):
+    """Rung i is obj(a, [f: x, g: y]) where x = obj(b, [h: rung i+1]) and
+    y = obj(c, [h: rung i+1]); the last rung is int.  3·rungs+1 nodes,
+    2**rungs paths from the root to the int."""
+    t = IntType()
+    for _ in range(rungs):
+        t = ObjType("a", {"f": ObjType("b", {"h": t}), "g": ObjType("c", {"h": t})})
+    return t
+
+
+@pytest.mark.parametrize("shape,n,size", [(chain, 100_000, 100_001),
+                                          (diamond_ladder, 40, 121)])
+def test_canonicalize_acyclic_in_linear_time(shape, n, size):
+    # each node is entered once, on an explicit stack: 10**5 levels and
+    # 2**40 paths cost no recursion and no path enumeration
+    t = shape(n)
+    start = time.monotonic()
+    c = canonicalize(t)
+    elapsed = time.monotonic() - start
+    assert elapsed < 3.0, "%s %d took %.2fs" % (shape.__name__, n, elapsed)
+    assert len(subterm_closure(c)) == size
+    assert canonicalize(shape(n)) is c

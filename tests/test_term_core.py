@@ -29,7 +29,14 @@ from coinfer.term_core import (
     value_from_source,
 )
 
-from conftest import random_type, random_value, seeded, trees_equal_oracle
+from conftest import (
+    inflate,
+    random_acyclic_type,
+    random_type,
+    random_value,
+    seeded,
+    trees_equal_oracle,
+)
 
 NAT = "N = obj(zero, []) \\/ obj(succ, [pred: N]); root N"
 EVN = "E = obj(zero, []) \\/ obj(succ, [pred: obj(succ, [pred: E])]); root E"
@@ -310,6 +317,94 @@ def test_canonicalize_preserves_meaning_random():
         c = canonicalize(t)
         assert trees_equal_oracle(t, c)
         assert len(subterm_closure(c)) <= len(subterm_closure(t))
+
+
+# --- the acyclic path of canonicalize ------------------------------------
+
+def test_canonicalize_acyclic_agrees_with_oracle():
+    rng = seeded(611)
+    pool = []
+    for _ in range(150):
+        t = random_acyclic_type(rng, rng.randint(1, 12))
+        c = canonicalize(t)
+        assert trees_equal_oracle(t, c)
+        assert len(subterm_closure(c)) <= len(subterm_closure(t))
+        assert canonicalize(inflate(t, rng, rng.randint(2, 3))) is c
+        pool.append((t, c))
+    for _ in range(400):
+        (t1, c1), (t2, c2) = rng.choice(pool), rng.choice(pool)
+        assert (c1 is c2) == trees_equal_oracle(t1, t2)
+
+
+@pytest.mark.parametrize("acyclic_first", [True, False])
+def test_interning_does_not_depend_on_path_order(acyclic_first):
+    # the same acyclic g, fresh in each case, canonicalized alone (no
+    # partition) and inside a cyclic graph (partition): one node object
+    rng = seeded(612 + acyclic_first)
+    classes = ("order%d" % acyclic_first,)
+    for _ in range(20):
+        g = random_acyclic_type(rng, rng.randint(2, 8), classes)
+        nat = type_from_source(NAT)
+        if acyclic_first:
+            cg = canonicalize(g)
+            cu = canonicalize(UnionType(inflate(g, rng), nat))
+        else:
+            cu = canonicalize(UnionType(inflate(g, rng), nat))
+            cg = canonicalize(g)
+        assert cu.left is cg
+        assert cu.right is canonicalize(nat)
+
+
+def test_fresh_node_above_a_canonical_cycle_merges_with_it():
+    # a canonical node is walked through, not taken as a leaf: the fresh
+    # obj(a, [f: c]) is bisimilar to the canonical cycle c itself
+    c = canonicalize(type_from_source("T = obj(a, [f: T]); root T"))
+    assert canonicalize(ObjType("a", {"f": c})) is c
+    assert canonicalize(UnionType(ObjType("a", {"f": c}), IntType())).left is c
+
+
+def test_acyclic_closure_never_partitions(monkeypatch):
+    import coinfer.term_core as term_core
+
+    calls = []
+    real = term_core._partition
+
+    def counting(kids, shapes):
+        calls.append(len(kids))
+        return real(kids, shapes)
+
+    monkeypatch.setattr(term_core, "_partition", counting)
+    rng = seeded(613)
+    for _ in range(50):
+        canonicalize(random_acyclic_type(rng, rng.randint(1, 12)))
+    canonicalize(value_from_source("V = obj(a, [f -> 1, g -> obj(b, [h -> 1])]); root V"))
+    assert calls == []
+    canonicalize(type_from_source("T = obj(once, [f: T, g: int]); root T"))
+    assert calls == [2]
+
+
+def test_intern_table_grows_by_new_components():
+    # one key per new component of the minimal graph, one uid per new node
+    import coinfer.term_core as term_core
+
+    rng = seeded(614)
+    for k in range(60):
+        t = (random_acyclic_type if k % 2 else random_type)(rng, rng.randint(1, 10))
+        for n in subterm_closure(t):
+            if isinstance(n, ObjType) and rng.random() < 0.5:
+                n.class_name = "grow%d" % k
+        keys, uids = len(term_core._canonical), len(term_core._canonical_uids)
+        first = IntType().uid  # nodes made by this call come later
+        c = canonicalize(t)
+        kids = {n.uid: [m.uid for m in term_core._children(n)]
+                for n in subterm_closure(c) if n.uid > first}
+        new = term_core._scc_order(list(kids), {u: [m for m in ks if m in kids]
+                                                for u, ks in kids.items()})
+        assert len(term_core._canonical_uids) - uids == len(kids)
+        assert len(term_core._canonical) - keys == len(new)
+        canonicalize(inflate(t, rng))
+        assert (len(term_core._canonical), len(term_core._canonical_uids)) == \
+            (keys + len(new), uids + len(kids))
 
 
 def test_print_round_trip_random():
