@@ -300,11 +300,12 @@ def _lookup(pattern, other, trail, seen):
     """Unify a clause head's [K:V] record pattern, such as rec_acc's [F:T],
     with a goal's argument, after the head's other arguments: once they
     bind K to a field name, V unifies with that field of a closed record of
-    any width.  Otherwise it is plain unification, under which a key still
-    unbound matches a one-field record only."""
+    any width, or of an open record that lists it.  Otherwise it is plain
+    unification, under which an unbound key matches one-field records."""
     (key, val), = pattern.pairs
     key, rec = deref(key), _norm_rec(other)
-    if isinstance(key, Const) and rec is not _FAIL and not rec[1] and rec[2] is None:
+    if (isinstance(key, Const) and rec is not _FAIL and not rec[1]
+            and (rec[2] is None or key.name in rec[0])):
         return key.name in rec[0] and _unify(val, rec[0][key.name], trail, seen)
     return _unify(other, pattern, trail, seen)
 

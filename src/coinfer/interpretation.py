@@ -1,10 +1,15 @@
 """Membership of values in regular types, and value sampling.
 
-member decides v ∈ t coinductively: a cycle in the judgment graph is
-accepted iff it passes through an object-rule application (union steps
-alone never justify membership).  Results whose justification stays
-within the judgment's own subtree are cached; path-dependent outcomes
-are recomputed in each context.
+member decides v ∈ t as one greatest fixpoint over pairs (value node,
+non-union type node).  A type node's alternatives are the non-union
+nodes it reaches through union edges alone, so a union-only cycle is
+empty.  An int pair needs an integer value; an object pair the type's
+class and fields in the value, and each of its fields is a group of
+alternative pairs.  Counters spread refutation (Dowling and Gallier
+1984; Liu and Smolka, ICALP 1998): a group dies when all of its
+alternatives have, a pair with any of its groups, and v ∈ t iff some
+alternative of t survives.  Every cycle left passes through an object
+rule, so nothing tracks paths, and the cost is linear in the pair edges.
 
 sample_values draws members of a type: the canonical witness first, one
 deliberately cyclic value when the type admits any, then seeded random
@@ -28,95 +33,86 @@ from coinfer.term_core import (
     subterm_closure,
 )
 
-_INF = float("inf")
-
 DEFAULT_LIMIT = 1_000_000
-
-
-def _obj_applies(v, t):
-    return (isinstance(v, ObjValue)
-            and v.class_name == t.class_name
-            and all(f in v.fields for f in t.fields))
-
-
-def _expand(v, t):
-    if isinstance(t, UnionType):
-        ok, low = yield (v, t.left)
-        if ok:
-            return (True, low)
-        ok2, low2 = yield (v, t.right)
-        if ok2:
-            return (True, low2)
-        return (False, min(low, low2))
-    low = _INF
-    for f in sorted(t.fields):
-        ok, l = yield (v.fields[f], t.fields[f])
-        if not ok:
-            return (False, l)
-        low = min(low, l)
-    return (True, low)
 
 
 def member(v, t, limit=DEFAULT_LIMIT):
     """True iff the value inhabits the type.
 
-    limit bounds the number of judgment expansions; exceeding it raises
+    One greatest fixpoint over pairs (value node, non-union type node),
+    decided by counter refutation as the module docstring describes.
+    limit bounds the number of pairs created; passing it raises
     BudgetExceeded.
     """
-    path = {}   # (v uid, t uid) -> position
-    objs = []   # ascending positions of object-rule applications
-    memo = {}   # (v uid, t uid) -> bool, context-free results only
-    steps = 0
+    alts_of = {}   # type uid -> its alternatives
+    ids = {}       # (value uid, type uid) -> pair id
+    dead = []      # pair id -> refuted
+    waiting = []   # pair id -> ids of the groups that list it
+    owner = []     # group id -> the pair it is a field of, -1 for the root
+    alive = []     # group id -> its alternatives not refuted yet
+    todo = []      # object pairs still to expand: (pair id, value, type)
+    dying = []     # refuted pairs whose groups have not heard of it yet
 
-    def classify(v, t):
-        nonlocal steps
-        key = (v.uid, t.uid)
-        if key in memo:
-            return ("done", (memo[key], _INF))
-        if key in path:
-            q = path[key]
-            return ("done", (bool(objs) and objs[-1] >= q, q))
-        if isinstance(t, IntType):
-            return ("done", (isinstance(v, IntValue), _INF))
-        if isinstance(t, ObjType) and not _obj_applies(v, t):
-            return ("done", (False, _INF))
-        steps += 1
-        if steps > limit:
-            raise BudgetExceeded("membership budget of %d expansions" % limit)
-        pos = len(path)
-        path[key] = pos
-        if isinstance(t, ObjType):
-            objs.append(pos)
-        return ("run", (_expand(v, t), key, pos, isinstance(t, ObjType)))
+    def group(p, v, t):
+        """Add the group of pairs (v, s), s an alternative of t, as a
+        premise of pair p; False when all of them are refuted already."""
+        alts = alts_of.get(t.uid)
+        if alts is None:
+            alts, seen, stack = [], set(), [t]
+            while stack:
+                n = stack.pop()
+                if n.uid not in seen:
+                    seen.add(n.uid)
+                    if type(n) is UnionType:
+                        stack += (n.right, n.left)
+                    else:
+                        alts.append(n)
+            alts_of[t.uid] = alts
+        g = len(owner)
+        live = 0
+        for s in alts:
+            key = (v.uid, s.uid)
+            q = ids.get(key)
+            if q is None:
+                q = ids[key] = len(dead)
+                if q >= limit:
+                    raise BudgetExceeded("membership budget of %d pairs" % limit)
+                waiting.append([])
+                if type(s) is IntType:
+                    dead.append(type(v) is not IntValue)
+                else:
+                    dead.append(type(v) is not ObjValue or v.class_name != s.class_name
+                                or not s.fields.keys() <= v.fields.keys())
+                    todo.append((q, v, s))
+            if not dead[q]:
+                live += 1
+                waiting[q].append(g)
+        owner.append(p)
+        alive.append(live)
+        return live > 0
 
-    kind, payload = classify(v, t)
-    if kind == "done":
-        return payload[0]
-
-    stack = [payload]
-    sent = None
-    while stack:
-        gen, key, pos, is_obj = stack[-1]
-        try:
-            child = gen.send(sent) if sent is not None else next(gen)
-        except StopIteration as fin:
-            ok, low = fin.value
-            del path[key]
-            if is_obj:
-                objs.pop()
-            stack.pop()
-            if low >= pos:
-                memo[key] = ok
-                low = _INF
-            sent = (ok, low)
+    if not group(-1, v, t):
+        return False
+    while todo:
+        p, v, s = todo.pop()
+        if dead[p]:
             continue
-        kind, payload = classify(*child)
-        if kind == "done":
-            sent = payload
-        else:
-            stack.append(payload)
-            sent = None
-    return sent[0]
+        for f, c in s.fields.items():
+            if not group(p, v.fields[f], c):
+                dead[p] = True
+                dying.append(p)
+                break
+        while dying:
+            for g in waiting[dying.pop()]:
+                alive[g] -= 1
+                if not alive[g]:
+                    q = owner[g]
+                    if q < 0:
+                        return False
+                    if not dead[q]:
+                        dead[q] = True
+                        dying.append(q)
+    return True
 
 
 # ---------------------------------------------------------------------------

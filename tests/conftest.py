@@ -3,8 +3,8 @@
 The oracles here deliberately use different algorithms than the
 library: product-graph search for equality instead of canonicalization,
 and plain Kleene iteration over every reachable judgment for subtyping
-instead of the library's component-wise engine, so each pair can check
-each other.
+and membership instead of the library's component-wise engine and
+counter refutation, so each pair can check each other.
 """
 
 import random
@@ -159,6 +159,44 @@ def subtype_oracle(t1, t2):
                    for rule, premises in rules[j])
 
     return (t1, t2) in _nu_mu(list(rules), holds)
+
+
+def member_oracle(v, t):
+    """The paper's membership, written out apart from the library.
+
+    The pair (v, t) holds in nu X. mu Y over all (value, type) pairs
+    reachable from it: an int pair when the value is an integer, an
+    object pair when the classes agree, the value has every field of the
+    type and each field pair is in X, a union pair when one of its sides
+    is in Y, so a cycle of unions alone holds nothing."""
+    pairs = {}  # (value uid, type uid) -> (value, type, premise keys or None)
+    todo = [(v, t)]
+    while todo:
+        a, b = todo.pop()
+        key = (a.uid, b.uid)
+        if key in pairs:
+            continue
+        if isinstance(b, UnionType):
+            kids = [(a, b.left), (a, b.right)]
+        elif (isinstance(b, ObjType) and isinstance(a, ObjValue)
+              and a.class_name == b.class_name and set(b.fields) <= set(a.fields)):
+            kids = [(a.fields[f], b.fields[f]) for f in b.fields]
+        else:
+            kids = None
+        pairs[key] = (a, b, kids and [(c.uid, d.uid) for c, d in kids])
+        todo.extend(kids or ())
+
+    def holds(key, x, y):
+        a, b, premises = pairs[key]
+        if isinstance(b, IntType):
+            return isinstance(a, IntValue)
+        if premises is None:
+            return False
+        if isinstance(b, UnionType):
+            return any(p in y for p in premises)
+        return all(p in x for p in premises)
+
+    return (v.uid, t.uid) in _nu_mu(list(pairs), holds)
 
 
 def random_type(rng, size):

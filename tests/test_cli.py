@@ -230,6 +230,17 @@ def test_member_positive_and_negative(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_member_on_shared_cycles(tmp_path, capsys):
+    # 20 values, each reaching the next by two fields, closed into a cycle
+    n = 20
+    eqs = "".join("V%d = obj(a, [f -> V%d, g -> V%d]); " % (i, (i + 1) % n, (i + 1) % n)
+                  for i in range(n))
+    value = put(tmp_path, "doubled.val", eqs + "root V0;")
+    t = put(tmp_path, "doubled.ty", "T = obj(a, [f: T, g: T]); root T;")
+    assert main(["member", value, t]) == 0
+    assert capsys.readouterr().out == "member\n"
+
+
 def test_sample_values_all_members(tmp_path, capsys):
     nat = put(tmp_path, "nat.ty", NAT)
     assert main(["sample", nat, "--count", "5", "--seed", "3",
@@ -328,6 +339,13 @@ def test_solve_multi_field_record_access(tmp_path, capsys, query, answer):
     prog = put(tmp_path, "pair.prog", PAIR)
     assert main(["solve", prog, "--query", query]) == 0
     assert capsys.readouterr().out.splitlines() == [answer]
+
+
+def test_solve_open_record_access(tmp_path, capsys):
+    prog = put(tmp_path, "pair.prog", PAIR)
+    query = "rec_acc([fst:int,snd:obj(k,[])|Q], snd, T)"
+    assert main(["solve", prog, "--query", query]) == 0
+    assert "T = obj(k,[])" in capsys.readouterr().out.splitlines()
 
 
 def test_solve_bad_query_is_usage_error(tmp_path, capsys):

@@ -354,6 +354,24 @@ def test_multi_field_record_access_unbound_field_enumerates_fields():
     assert [deref(a.bindings["F"]).name for a in res.answers] == ["fst", "snd"]
 
 
+@pytest.mark.parametrize("key,expect", [("snd", "obj(k, [])"), ("fst", "int"), ("thd", None)])
+def test_bound_key_looked_up_in_open_record(key, expect):
+    # a bound key present among an open record's known fields is looked
+    # up there; an absent key keeps plain unification, which fails on the
+    # known fields the one-field pattern lacks
+    known = deref(type_to_logic(type_from_source(PAIR_TYPE)).rec).pairs
+    rec = Record(list(known), Var("Q"))
+    res = solve(Atom("rec_acc", [rec, Const(key), Var("T")]), clauses_for(PAIR),
+                SolverConfig())
+    assert res.complete
+    if expect is None:
+        assert res.answers == []
+    else:
+        assert len(res.answers) == 1
+        got = logic_to_type(res.answers[0].bindings["T"])
+        assert equal(got, type_from_source("T = %s; root T;" % expect))
+
+
 def test_unbound_key_over_multi_field_record_unsupported():
     # a [K:V] pattern whose key nothing binds still matches only a
     # one-field record: the wider record fails finitely

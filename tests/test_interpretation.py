@@ -13,6 +13,7 @@ from coinfer.term_core import (
     ObjValue,
     UnionType,
     canonicalize,
+    print_type,
     print_value,
     subterm_closure,
     type_from_source,
@@ -25,6 +26,7 @@ from conftest import (
     chain,
     fan,
     inflate,
+    member_oracle,
     number_types,
     random_type,
     random_value,
@@ -141,9 +143,87 @@ def test_finite_value_needs_matching_depth():
     assert not member(one, evn)
 
 
+def doubled_cycle(n):
+    """n values obj(a, [f -> next, g -> next]) closed into one cycle."""
+    nodes = [ObjValue("a") for _ in range(n)]
+    for i, node in enumerate(nodes):
+        node.fields = {"f": nodes[(i + 1) % n], "g": nodes[(i + 1) % n]}
+    return nodes[0]
+
+
+DOUBLED = "T = obj(a, [f: T, g: T]); root T"
+
+
+@pytest.mark.parametrize("n", [20, 200])
+def test_member_on_shared_cycles_is_fast(n):
+    # each node reaches the next one by two fields: a search that
+    # re-derives path-dependent judgments doubles its work per node
+    v, t = doubled_cycle(n), type_from_source(DOUBLED)
+    start = time.perf_counter()
+    assert member(v, t)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, "doubled cycle %d took %.2fs" % (n, elapsed)
+
+
 def test_member_budget_raises():
     with pytest.raises(BudgetExceeded):
         member(value_from_source(VINF), type_from_source(NAT), limit=1)
+
+
+def follow(t, rng, union_steps=8):
+    """A value shaped by type t: random union sides, random integers, and
+    object values shared per object type node, so a cyclic type gives a
+    cyclic value.  Usually a member; not always, since a union side may
+    lead into an empty part."""
+    made = {}
+
+    def build(node):
+        steps = 0
+        while isinstance(node, UnionType) and steps < union_steps:
+            node = rng.choice((node.left, node.right))
+            steps += 1
+        if isinstance(node, IntType):
+            return IntValue(rng.randint(-2, 2))
+        if isinstance(node, UnionType):
+            return IntValue(0)
+        if node.uid in made and rng.random() < 0.8:
+            return made[node.uid]
+        val = made[node.uid] = ObjValue(node.class_name)
+        val.fields = {f: build(c) for f, c in node.fields.items()}
+        return val
+
+    return build(t)
+
+
+def tricky_type(rng):
+    """A random cyclic type, often under unions of unions that hold a
+    union-only cycle to it, an empty union-only cycle and an object with
+    no fields."""
+    t = random_type(rng, rng.randint(1, 8))
+    if rng.random() < 0.5:
+        loop, empty = UnionType(), UnionType()
+        loop.left, loop.right = loop, t
+        empty.left = empty.right = empty
+        t = UnionType(UnionType(empty, loop), ObjType(rng.choice(CLASS_POOL), {}))
+    return t
+
+
+def test_member_agrees_with_fixpoint_oracle():
+    rng = seeded(2024)
+    members = cyclic = 0
+    for _ in range(700):
+        t = tricky_type(rng)
+        values = [random_value(rng, rng.randint(1, 6), max_int=2), follow(t, rng)]
+        values.append(mutated(values[-1], rng))
+        w = witness(t)
+        if w is not None:
+            values += [w, inflate(w, rng)]
+        for v in values:
+            expect = member_oracle(v, t)
+            assert member(v, t) == expect, (print_type(t), print_value(v))
+            members += expect
+            cyclic += expect and has_cycle(v)
+    assert members > 1000 and cyclic > 200
 
 
 # --- sampling ----------------------------------------------------------------
