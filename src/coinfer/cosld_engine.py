@@ -9,6 +9,14 @@ Unification builds rational bindings (a variable may be bound to a term
 containing itself), so answers can be cyclic graphs; they are reported as
 copies detached from the solver state.
 
+A clause is never renamed whole.  Its stored head is matched against the
+goal: a clause variable's first occurrence takes the goal's subterm,
+structure meeting an unbound goal variable is built and bound to it, and
+lists and records are built and unified.  Only when the head matches is
+the body renamed, through the same map.  Each binding is made as
+unifying the goal with a renamed head would make it, so unbound answer
+variables keep the clause's names.
+
 Search runs under a depth budget with iterative deepening.  Exhausting the
 budget is reported as inconclusive (depth_hit), never as failure.
 """
@@ -21,7 +29,6 @@ from functools import partial
 from .horn_compiler import (
     Atom,
     Const,
-    HornClause,
     IntTerm,
     ListTerm,
     ObjTerm,
@@ -31,8 +38,8 @@ from .horn_compiler import (
 )
 from .subtyping import subtype
 from .term_core import (
-    IntType, ObjType, TermError, TokenParser, UnionType, parse_type, resolve_names, token_kind,
-    token_spans,
+    EquationSystem, IntType, ObjType, ParseError, TermError, TokenParser, UnionType,
+    parse_equations, resolve_names, token_kind, token_position,
 )
 
 
@@ -576,34 +583,94 @@ def _vars(terms):
             stack.extend(reversed(t.items))
 
 
-def _rename_clause(clause):
+def _instance(t, m):
+    """Clause term t with each variable replaced by its term in m; a
+    variable not in m yet gets a fresh one of the same name, added to m."""
+    kind = type(t)
+    if kind is Var:
+        term = m.get(t)
+        if term is None:
+            term = m[t] = Var(t.name)
+        return term
+    if kind is Const or kind is IntTerm:
+        return t
+    if kind is ObjTerm:
+        return ObjTerm(_instance(t.cls, m), _instance(t.rec, m))
+    if kind is UnionTerm:
+        return UnionTerm(_instance(t.left, m), _instance(t.right, m))
+    if kind is Record:
+        pairs = [(k if isinstance(k, str) else _instance(k, m), _instance(v, m))
+                 for k, v in t.pairs]
+        return Record(pairs, None if t.tail is None else _instance(t.tail, m))
+    if kind is ListTerm:
+        items = [_instance(x, m) for x in t.items]
+        return ListTerm(items, None if t.tail is None else _instance(t.tail, m))
+    raise TypeError(t)
+
+
+def _match(h, g, m, trail, seen):
+    """Match stored clause term h against goal term g, as _unify(g, h')
+    would for a renamed copy h' of h, copying only what g leaves open.  m
+    maps the clause's variables to their terms: a variable's first
+    occurrence takes g's subterm (an unbound goal variable is bound to a
+    fresh variable, as unification with a renamed one binds it), a later
+    one unifies with it.  Structure meeting an unbound goal variable is
+    built from m and bound to it; a list or record is built and unified."""
+    kind = type(h)
+    if kind is Var:
+        term = m.get(h)
+        if term is not None:
+            return _unify(g, term, trail, seen)
+        g = deref(g)
+        if type(g) is Var:
+            term = Var(h.name)
+            _bind(trail, g, term)
+            g = term
+        m[h] = g
+        return True
+    if kind is Record or kind is ListTerm:
+        return _unify(g, _instance(h, m), trail, seen)
+    g = deref(g)
+    if type(g) is Var:
+        _bind(trail, g, _instance(h, m))
+        return True
+    if type(g) is not kind:
+        return False
+    if kind is ObjTerm:
+        return (_match(h.cls, g.cls, m, trail, seen)
+                and _match(h.rec, g.rec, m, trail, seen))
+    if kind is UnionTerm:
+        return (_match(h.left, g.left, m, trail, seen)
+                and _match(h.right, g.right, m, trail, seen))
+    if kind is Const:
+        return g.name == h.name
+    return g.value == h.value
+
+
+def _match_head(goal, head, trail):
+    """Resolve goal against a stored clause head without renaming the
+    clause.  The head's [K:V] patterns, such as rec_acc's [F:T], are
+    looked up last, by _lookup.  Returns the map from the clause's
+    variables to their terms, through which the body is then renamed, or
+    None when the head does not match; bindings are left on the trail."""
     m = {}
+    seen = set()
+    later = []
+    for h, g in zip(head.args, goal.args):
+        if (type(h) is Record and h.tail is None and len(h.pairs) == 1
+                and isinstance(h.pairs[0][0], Var)):
+            later.append((_instance(h, m), g))
+        elif not _match(h, g, m, trail, seen):
+            return None
+    for pattern, g in later:
+        if not _lookup(pattern, g, trail, seen):
+            return None
+    return m
 
-    def cp(t):
-        if isinstance(t, Var):
-            fresh = m.get(id(t))
-            if fresh is None:
-                fresh = Var(t.name)
-                m[id(t)] = fresh
-            return fresh
-        if isinstance(t, (Const, IntTerm)):
-            return t
-        if isinstance(t, UnionTerm):
-            return UnionTerm(cp(t.left), cp(t.right))
-        if isinstance(t, ObjTerm):
-            return ObjTerm(cp(t.cls), cp(t.rec))
-        if isinstance(t, Record):
-            return Record([(k if isinstance(k, str) else cp(k), cp(v))
-                           for k, v in t.pairs],
-                          cp(t.tail) if t.tail is not None else None)
-        if isinstance(t, ListTerm):
-            return ListTerm([cp(x) for x in t.items],
-                            cp(t.tail) if t.tail is not None else None)
-        raise TypeError(t)
 
-    head = Atom(clause.head.pred, [cp(a) for a in clause.head.args])
-    body = [Atom(b.pred, [cp(a) for a in b.args]) for b in clause.body]
-    return HornClause(head, body)
+def _ground_head(head):
+    return (all(type(a) is Const for a in head.args)
+            or next(_vars(head.args), None) is None)
 
 
 def _first_key(t):
@@ -624,22 +691,19 @@ class _Engine:
         self.config = config
         # First-argument index: (pred, arity) -> (all clauses, {key: the
         # clauses with that key or none}, the clauses with no key), each
-        # list of (clause, ground) in clause order.  A ground clause has no
-        # variables, so it is used without renaming.
+        # list in clause order.
         self.index = {}
         for c in clauses:
-            args = [a for atom in [c.head] + c.body for a in atom.args]
-            entry = (c, next(_vars(args), None) is None)
             every, by_key, unkeyed = self.index.setdefault(
                 (c.head.pred, len(c.head.args)), ([], {}, []))
-            every.append(entry)
+            every.append(c)
             key = _first_key(c.head.args[0]) if c.head.args else None
             if key is None:
-                unkeyed.append(entry)
+                unkeyed.append(c)
                 for into in by_key.values():
-                    into.append(entry)
+                    into.append(c)
             else:
-                by_key.setdefault(key, list(unkeyed)).append(entry)
+                by_key.setdefault(key, list(unkeyed)).append(c)
         preds = {p for p, _ in self.index}
         for pred in config.variance:
             if pred not in preds:
@@ -648,7 +712,7 @@ class _Engine:
         # predicates defined by ground facts alone (class, extends, dec_*,
         # not_dec_*): a goal on one with constant arguments binds nothing
         self.fact_preds = {pk for pk, (every, _, _) in self.index.items()
-                           if all(ground and not c.body for c, ground in every)}
+                           if all(not c.body and _ground_head(c.head) for c in every)}
         self.trail = []
         self.steps = 0
         self.subsumptions = []
@@ -668,21 +732,6 @@ class _Engine:
     def _bound_fact(self, atom):
         return ((atom.pred, len(atom.args)) in self.fact_preds
                 and all(isinstance(deref(a), Const) for a in atom.args))
-
-    def _unify_atom(self, a, b, head=False):
-        """Unify goal a with b: an ancestor goal, or a clause head if head
-        is true.  A head's [K:V] patterns are unified last, by _lookup."""
-        if a.pred != b.pred or len(a.args) != len(b.args):
-            return False
-        seen = set()
-        later = []
-        for x, y in zip(a.args, b.args):
-            if (head and type(y) is Record and y.tail is None and len(y.pairs) == 1
-                    and isinstance(y.pairs[0][0], Var)):
-                later.append((y, x))
-            elif not _unify(x, y, self.trail, seen):
-                return False
-        return not later or all(_lookup(p, x, self.trail, seen) for p, x in later)
 
     def _sub_position(self, small, large, obligations):
         s, l = deref(small), deref(large)
@@ -728,7 +777,9 @@ class _Engine:
             if anc_atom.pred == atom.pred and len(anc_atom.args) == len(atom.args):
                 if cfg.coinduction_enabled:
                     mark = len(self.trail)
-                    if self._unify_atom(atom, anc_atom):
+                    seen = set()
+                    if all(_unify(x, y, self.trail, seen)
+                           for x, y in zip(atom.args, anc_atom.args)):
                         yield
                     _undo(self.trail, mark)
                 table = cfg.variance.get(atom.pred)
@@ -746,12 +797,14 @@ class _Engine:
             self.depth_hit = True
             return
         child = (atom, anc, depth + 1)
-        for clause, ground in self._candidates(atom):
-            fresh = clause if ground else _rename_clause(clause)
-            mark = len(self.trail)
-            if self._unify_atom(atom, fresh.head, head=True):
-                yield from self._prove_seq(fresh.body, 0, child, limit)
-            _undo(self.trail, mark)
+        trail = self.trail
+        for clause in self._candidates(atom):
+            mark = len(trail)
+            m = _match_head(atom, clause.head, trail)
+            if m is not None:
+                body = [Atom(b.pred, [_instance(a, m) for a in b.args]) for b in clause.body]
+                yield from self._prove_seq(body, 0, child, limit)
+            _undo(trail, mark)
 
     def _prove_seq(self, atoms, i, anc, limit):
         if i == len(atoms):
@@ -884,30 +937,29 @@ class _QueryParser(TokenParser):
     def __init__(self, source):
         super().__init__(source, _QTOKEN, _query_kind, EngineError)
 
-    def split_prelude(self):
-        """Consume leading 'VAR = ... ;' equations, returning their source
-        text and the declared names in order."""
-        pieces = []
-        names = []
-        spans = None
-        while self.peek()[0] == "VAR" and self.peek(1)[0] == "=":
-            start_tok = self.next()
-            names.append(start_tok[1])
-            self.next()  # =
-            depth = 0
-            while True:
-                t = self.next()
-                if t[0] == "EOF":
-                    self.err("unterminated type equation for %s" % start_tok[1], t)
-                if t[0] in ("(", "["):
-                    depth += 1
-                elif t[0] in (")", "]"):
-                    depth -= 1
-                elif t[0] == ";" and depth == 0:
-                    break
-            spans = spans or token_spans(self.src, _QTOKEN)
-            pieces.append(self.src[spans[start_tok[2]][0]:spans[t[2]][1]])
-        return " ".join(pieces), names
+    def prelude(self):
+        """Parse the leading 'VAR = type;' equations where they stand and
+        return the graph of each declared name.  One resolve builds them
+        all, so an error in any is reported against the first."""
+        texts, toks = self.texts, self.toks
+
+        def more(i):
+            return toks[i][0] == "VAR" and texts[i + 1] == "="
+
+        def fail(k, msg):
+            raise ParseError(msg, *token_position(self.src, _QTOKEN, k))
+
+        if not more(self.i):
+            return {}
+        first = texts[self.i]
+        try:
+            bindings, self.i, unbound = parse_equations(texts, self.i, False, fail, more)
+            if unbound is not None:
+                raise TermError("unbound variable %s" % unbound)
+            named = resolve_names(EquationSystem(bindings, first))
+        except TermError as exc:
+            raise EngineError("in type equation for %s: %s" % (first, exc))
+        return {name: named[name] for name in bindings}
 
     def atom(self, type_terms):
         name = self.expect("IDENT")
@@ -1014,16 +1066,7 @@ def parse_query(source):
     terms inside the atom, all other capitalized names are variables."""
     parser = _QueryParser(source)
     parser.vars = {}
-    prelude, names = parser.split_prelude()
-    types = {}
-    if names:
-        # one resolve builds every declared name; an error in the prelude
-        # is reported against the first of them
-        try:
-            named = resolve_names(parse_type("%s root %s;" % (prelude, names[0])))
-        except TermError as exc:
-            raise EngineError("in type equation for %s: %s" % (names[0], exc))
-        types = {name: named[name] for name in names}
+    types = parser.prelude()
     memo = {}  # the names share one graph, and so do their terms
     logic = {name: type_to_logic(t, memo) for name, t in types.items()}
     atom = parser.atom(logic)

@@ -13,6 +13,7 @@ import json as _json
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 _uids = itertools.count(1)
 
@@ -209,11 +210,6 @@ def scan(src, pattern):
     return toks
 
 
-def token_spans(src, pattern):
-    """Source offsets (start, end) of each token of scan(src, pattern)."""
-    return [m.span(1) for m in pattern.finditer(src)]
-
-
 def token_position(src, pattern, k):
     """(line, col) of token k of scan(src, pattern), both from 1.
 
@@ -246,14 +242,15 @@ def token_kind(text, fixed, var=str.isupper, digit=str.isdecimal):
 
 class TokenParser:
     """Cursor over the tokens (kind, text, index) of a grammar, for a
-    recursive-descent parser; token positions are found only for errors,
-    which it raises as error("line L, col C: message")."""
+    recursive-descent parser; texts holds the token texts alone.  Token
+    positions are found only for errors, which it raises as
+    error("line L, col C: message")."""
 
     def __init__(self, src, pattern, kind, error):
         self.src, self.pattern, self.error = src, pattern, error
-        texts = scan(src, pattern)
-        kinds = {t: kind(t) for t in set(texts)}  # names and symbols recur
-        self.toks = [(kinds[t], t, k) for k, t in enumerate(texts)]
+        self.texts = scan(src, pattern)
+        kinds = {t: kind(t) for t in set(self.texts)}  # names and symbols recur
+        self.toks = [(kinds[t], t, k) for k, t in enumerate(self.texts)]
         self.i = 0
         for tok in self.toks:
             if tok[0] is None:
@@ -305,13 +302,14 @@ def _fail(src, toks, k, msg):
     raise ParseError(msg, *token_position(src, _TYPE_TOKENS, k))
 
 
-def _expected(src, toks, k, what):
-    _fail(src, toks, k, "expected %s, found %r" % (what, toks[k] or "end of input"))
+def _expected(fail, toks, k, what):
+    fail(k, "expected %s, found %r" % (what, toks[k] or "end of input"))
 
 
-def _parse_expr(src, toks, i, values, refs):
+def _parse_expr(toks, i, values, refs, fail):
     """The expression that starts at token i, and the index after it;
-    appends the names it refers to to refs.
+    appends the names it refers to to refs.  fail(k, msg) raises the
+    error of token k.
 
     expr := atom ('\\/' atom)*, right associative; values have no unions.
     atom := '(' expr ')' | VAR | INT | 'int'
@@ -327,25 +325,25 @@ def _parse_expr(src, toks, i, values, refs):
         t = toks[i]
         if t == "obj":
             if toks[i + 1] != "(":
-                _expected(src, toks, i + 1, "'('")
+                _expected(fail, toks, i + 1, "'('")
             cls = toks[i + 2]
             if _kind(cls) != "IDENT":
-                _expected(src, toks, i + 2, "class name")
+                _expected(fail, toks, i + 2, "class name")
             if toks[i + 3] != ",":
-                _expected(src, toks, i + 3, "','")
+                _expected(fail, toks, i + 3, "','")
             if toks[i + 4] != "[":
-                _expected(src, toks, i + 4, "'['")
+                _expected(fail, toks, i + 4, "'['")
             f = toks[i + 5]
             if f == "]":
                 if toks[i + 6] != ")":
-                    _expected(src, toks, i + 6, "')'")
+                    _expected(fail, toks, i + 6, "')'")
                 i += 7
                 atom = make(cls, [])
             else:
                 if _kind(f) != "IDENT":
-                    _expected(src, toks, i + 5, "field name")
+                    _expected(fail, toks, i + 5, "field name")
                 if toks[i + 6] != sep:
-                    _expected(src, toks, i + 6, "'%s'" % sep)
+                    _expected(fail, toks, i + 6, "'%s'" % sep)
                 stack.append(["[", parts, cls, [], {f}, f])
                 parts = []
                 i += 7
@@ -361,18 +359,18 @@ def _parse_expr(src, toks, i, values, refs):
             continue
         elif t == "int":
             if values:
-                _fail(src, toks, i, "'int' is a type, not a value")
+                fail(i, "'int' is a type, not a value")
             i += 1
             atom = IntExpr()
         elif _kind(t) == "INT":
             if not values:
-                _fail(src, toks, i, "integer literals only appear in value terms")
+                fail(i, "integer literals only appear in value terms")
             i += 1
             atom = IntLitExpr(int(t))
         elif _kind(t) == "IDENT":
-            _fail(src, toks, i, "unexpected identifier %r" % t)
+            fail(i, "unexpected identifier %r" % t)
         else:
-            _expected(src, toks, i, "a term")
+            _expected(fail, toks, i, "a term")
         # an atom is complete: continue its union, or close the expression
         # and with it the innermost open frame
         while True:
@@ -388,7 +386,7 @@ def _parse_expr(src, toks, i, values, refs):
             parts = frame[1]
             if frame[0] == "(":
                 if toks[i] != ")":
-                    _expected(src, toks, i, "')'")
+                    _expected(fail, toks, i, "')'")
                 i += 1
                 continue
             fields, seen = frame[3], frame[4]
@@ -396,56 +394,66 @@ def _parse_expr(src, toks, i, values, refs):
             if toks[i] == ",":
                 f = toks[i + 1]
                 if _kind(f) != "IDENT":
-                    _expected(src, toks, i + 1, "field name")
+                    _expected(fail, toks, i + 1, "field name")
                 if f in seen:
-                    _fail(src, toks, i + 1, "duplicate field %s" % f)
+                    fail(i + 1, "duplicate field %s" % f)
                 seen.add(f)
                 if toks[i + 2] != sep:
-                    _expected(src, toks, i + 2, "'%s'" % sep)
+                    _expected(fail, toks, i + 2, "'%s'" % sep)
                 frame[5] = f
                 stack.append(frame)
                 parts = []
                 i += 3
                 break
             if toks[i] != "]":
-                _expected(src, toks, i, "']'")
+                _expected(fail, toks, i, "']'")
             if toks[i + 1] != ")":
-                _expected(src, toks, i + 1, "')'")
+                _expected(fail, toks, i + 1, "')'")
             i += 2
             atom = make(frame[2], fields)
+
+
+def parse_equations(toks, i, values, fail, more):
+    """Equations VAR '=' expr ';' from token i while more(i) holds.  Returns
+    the bindings name -> expression, the index after them, and the first
+    name they refer to but do not bind, or None."""
+    bindings = {}
+    refs = []  # per binding, the names it refers to in source order
+    while more(i):
+        name = toks[i]
+        if _kind(name) != "VAR":
+            fail(i, "expected a declaration 'VAR = ...' or 'root VAR'")
+        if name in bindings:
+            fail(i, "duplicate binding for %s" % name)
+        if toks[i + 1] != "=":
+            _expected(fail, toks, i + 1, "'='")
+        refs.append([])
+        bindings[name], i = _parse_expr(toks, i + 2, values, refs[-1], fail)
+        if toks[i] != ";":
+            _expected(fail, toks, i, "';'")
+        i += 1
+    for names in refs:  # from each end, as a stack walk of the expressions meets them
+        for name in reversed(names):
+            if name not in bindings:
+                return bindings, i, name
+    return bindings, i, None
 
 
 def _parse_system(src, values):
     """system := (VAR '=' expr ';')* 'root' VAR ';'?"""
     toks = scan(src, _TYPE_TOKENS)
-    bindings = {}
-    refs = []  # per binding, the names it refers to in source order
-    i = 0
-    while toks[i] != "root":
-        name = toks[i]
-        if _kind(name) != "VAR":
-            _fail(src, toks, i, "expected a declaration 'VAR = ...' or 'root VAR'")
-        if name in bindings:
-            _fail(src, toks, i, "duplicate binding for %s" % name)
-        if toks[i + 1] != "=":
-            _expected(src, toks, i + 1, "'='")
-        refs.append([])
-        bindings[name], i = _parse_expr(src, toks, i + 2, values, refs[-1])
-        if toks[i] != ";":
-            _expected(src, toks, i, "';'")
-        i += 1
+    fail = partial(_fail, src, toks)
+    bindings, i, unbound = parse_equations(toks, 0, values, fail, lambda i: toks[i] != "root")
     root = toks[i + 1]
     if _kind(root) != "VAR":
-        _expected(src, toks, i + 1, "root variable name")
+        _expected(fail, toks, i + 1, "root variable name")
     end = i + 3 if toks[i + 2] == ";" else i + 2
     if toks[end]:
-        _expected(src, toks, end, "end of input")
-    for names in refs:  # from each end, as a stack walk of the expressions meets them
-        for name in reversed(names):
-            if name not in bindings:
-                raise TermError("unbound variable %s" % name)
+        _expected(fail, toks, end, "end of input")
+    if unbound is not None:
+        raise TermError("unbound variable %s" % unbound)
     if root not in bindings:
-        _fail(src, toks, i + 1, "unbound root variable %s" % root)
+        fail(i + 1, "unbound root variable %s" % root)
     return EquationSystem(bindings, root)
 
 

@@ -199,6 +199,49 @@ def member_oracle(v, t):
     return (v.uid, t.uid) in _nu_mu(list(pairs), holds)
 
 
+def rename_unify_oracle(goal, clause, trail):
+    """Resolve goal against clause by renaming the whole clause apart and
+    unifying the goal with the renamed head, as the solver once did: each
+    argument goal first, the head's [K:V] record patterns last by the
+    solver's lookup.  Returns the renamed body, or None when the head does
+    not unify; bindings are left on the trail.  Only unification and
+    lookup come from the solver, so this checks its head matching."""
+    from coinfer.cosld_engine import _lookup, _unify
+    from coinfer.horn_compiler import Atom, ListTerm, ObjTerm, Record, UnionTerm, Var
+
+    fresh = {}
+
+    def cp(t):
+        if isinstance(t, Var):
+            if id(t) not in fresh:
+                fresh[id(t)] = Var(t.name)
+            return fresh[id(t)]
+        if isinstance(t, UnionTerm):
+            return UnionTerm(cp(t.left), cp(t.right))
+        if isinstance(t, ObjTerm):
+            return ObjTerm(cp(t.cls), cp(t.rec))
+        if isinstance(t, Record):
+            return Record([(k if isinstance(k, str) else cp(k), cp(v)) for k, v in t.pairs],
+                          None if t.tail is None else cp(t.tail))
+        if isinstance(t, ListTerm):
+            return ListTerm([cp(x) for x in t.items], None if t.tail is None else cp(t.tail))
+        return t  # constants and integers
+
+    head = [cp(a) for a in clause.head.args]
+    body = [Atom(b.pred, [cp(a) for a in b.args]) for b in clause.body]
+    seen = set()
+    later = []
+    for x, y in zip(goal.args, head):
+        if (isinstance(y, Record) and y.tail is None and len(y.pairs) == 1
+                and isinstance(y.pairs[0][0], Var)):
+            later.append((y, x))
+        elif not _unify(x, y, trail, seen):
+            return None
+    if all(_lookup(pattern, x, trail, seen) for pattern, x in later):
+        return body
+    return None
+
+
 def random_type(rng, size):
     """Random connected type graph with at most `size` nodes (cycles allowed)."""
     kinds = [rng.choice(("int", "obj", "union")) for _ in range(size)]

@@ -18,6 +18,7 @@ from coinfer.horn_compiler import (
     compile_program,
     parse_program,
 )
+from coinfer import cosld_engine
 from coinfer.cosld_engine import (
     EngineError,
     SolverConfig,
@@ -25,6 +26,7 @@ from coinfer.cosld_engine import (
     copy_term,
     deref,
     format_answer,
+    format_term_text,
     logic_equal,
     logic_to_type,
     parse_query,
@@ -35,7 +37,7 @@ from coinfer.cosld_engine import (
 from coinfer.term_core import equal, type_from_source
 from coinfer.subtyping import equivalent, subtype
 
-from conftest import number_types
+from conftest import number_types, rename_unify_oracle
 
 ZERO_SUCC = """
 class Zero {
@@ -636,3 +638,99 @@ def test_solve_restores_recursion_limit():
         assert sys.getrecursionlimit() == 2000
     finally:
         sys.setrecursionlimit(outer)
+
+
+# ---------------------------------------------------------------------------
+# matching a goal against a stored clause head
+
+@pytest.mark.parametrize("program,query,answers", [
+    (ZERO_SUCC, "invoke(obj(zero,[]), add, [X], R)", ["X = N\nR = N"]),
+    (PAIR, "new(pair, [X, Y], V)", ["X = A\nY = B\nV = obj(pair,[fst:A,snd:B])"]),
+], ids=["numerals_add", "pair_new"])
+def test_unbound_answer_variables_keep_clause_names(program, query, answers):
+    # goal variables are bound to the clause's variables, never the other
+    # way, so an answer that leaves them open prints the clause's names
+    res = solve(parse_query(query), clauses_for(program), SolverConfig())
+    assert [format_answer(a) for a in res.answers] == answers
+    assert res.steps == 3 and res.complete and not res.depth_hit
+
+
+README_QUERIES = [
+    (ZERO_SUCC, "EVN = obj(zero,[]) \\/ obj(succ,[pred: ODD]); ODD = obj(succ,[pred: EVN]);"
+                " invoke(EVN, add, [ODD], R)"),
+    (ZERO_SUCC, "invoke(obj(zero,[]), add, [X], R)"),
+    (ZERO_SUCC, "new(succ, [N], X)"),
+    (PAIR, "new(pair, [X, Y], V)"),
+    (PAIR, "invoke(obj(pair,[fst:int,snd:obj(k,[])]), second, [], R)"),
+    (PAIR, "rec_acc([fst:int,snd:obj(k,[])|Q], snd, T)"),
+    (PAIR, "rec_acc([fst:int], K, V)"),
+    (PAIR, "field_acc(obj(pair,[fst:int,snd:obj(k,[])]), F, T)"),
+    (PAIR, "field_acc(obj(pair,[fst:int|Q]), fst, T)"),
+]
+
+BOX_FWD = """
+class {box} {{ {val}; {box}(v) {{ this.{val} = v; }} get() {{ return {val}; }} put(x) {{ return new {box}(x); }} }}
+class {sub} extends {box} {{ }}
+class Wrap {{ item; Wrap(i) {{ this.item = i; }} open() {{ return item.get(); }} rewrap() {{ return new Wrap(new {box}(item.get())); }} }}
+"""
+
+
+def box_fwd_queries(seed):
+    """A seeded box program with a forwarding hierarchy beside it, and
+    queries over both."""
+    rng = random.Random(seed)
+    names = {"box": rng.choice(["Box", "Cell"]), "sub": rng.choice(["Sub", "Inner"]),
+             "val": rng.choice(["v", "item", "val"])}
+    n = rng.randint(2, 6)
+    program = BOX_FWD.format(**names) + forwarding_program(n)
+    box, sub, val = names["box"].lower(), names["sub"].lower(), names["val"]
+    t1, t2 = rng.sample(["int", "obj(k, [])", "obj(k, [x: int])", "obj(j, [y: obj(k, [])])"], 2)
+    prelude = "T1 = %s; T2 = %s; " % (t1, t2)
+    atoms = [
+        "invoke(obj(%s,[%s: T1]), get, [], R)" % (box, val),
+        "invoke(obj(%s,[%s: T1]), put, [T2], R)" % (box, val),
+        "invoke(obj(%s,[%s: T1]) \\/ obj(%s,[%s: T2]), get, [], R)" % (box, val, sub, val),
+        "field_acc(obj(%s,[%s: T1]), F, R)" % (sub, val),
+        "invoke(obj(wrap,[item: obj(%s,[%s: T1])]), open, [], R)" % (sub, val),
+        "invoke(obj(wrap,[item: obj(%s,[%s: T1])]), rewrap, [], R)" % (sub, val),
+        "invoke(obj(c%d,[]), m, [T1], R)" % (n - 1),
+        "new(%s, [X], V)" % box,
+    ]
+    return [(program, prelude + atom) for atom in atoms]
+
+
+def test_head_matching_agrees_with_rename_and_unify(monkeypatch):
+    # every (goal, clause) pair the solver meets is resolved both ways, on
+    # the same goal: by the oracle, whose bindings are then undone, and by
+    # the matcher, which the search goes on with
+    match_head = cosld_engine._match_head
+    outcomes = []
+
+    def snapshot(goal, body):
+        return copy_term(ListTerm([ListTerm(a.args) for a in [goal] + body]))
+
+    def both(goal, head, trail):
+        clause = clause_of[id(head)]
+        mark = len(trail)
+        body = rename_unify_oracle(goal, clause, trail)
+        want = body is not None and snapshot(goal, body)
+        cosld_engine._undo(trail, mark)
+        m = match_head(goal, head, trail)
+        assert (m is not None) == (body is not None), format_term_text(ListTerm(goal.args))
+        if m is not None:
+            inst = dict(m)
+            got = snapshot(goal, [Atom(b.pred, [cosld_engine._instance(a, inst) for a in b.args])
+                                  for b in clause.body])
+            assert logic_equal(got, want)
+            assert format_term_text(got) == format_term_text(want)
+        outcomes.append(m is not None)
+        return m
+
+    monkeypatch.setattr(cosld_engine, "_match_head", both)
+    cases = README_QUERIES + [case for seed in range(4) for case in box_fwd_queries(seed)]
+    for program, query in cases:
+        clauses = clauses_for(program)
+        clause_of = {id(c.head): c for c in clauses}
+        res = solve(parse_query(query), clauses, SolverConfig())
+        assert res.answers, query
+    assert outcomes.count(True) > 500 and outcomes.count(False) > 100

@@ -24,7 +24,6 @@ from coinfer.term_core import (
     parse_value,
     scan,
     token_position,
-    token_spans,
 )
 
 # ---------------------------------------------------------------------------
@@ -128,8 +127,7 @@ _QTOKEN_REF = re.compile(r"""
 
 
 def _scan_query(src):
-    """Tokens (kind, text, line, col, start, end) of src, ending with an
-    EOF token."""
+    """Tokens (kind, text, line, col) of src, ending with an EOF token."""
     toks = []
     line, line_start, col_end = 1, 0, 0
     pos = 0
@@ -142,7 +140,7 @@ def _scan_query(src):
                               % (line, pos - line_start + 1, src[pos]))
         text = m.group()
         col = pos - line_start + 1
-        start, pos = pos, m.end()
+        pos = m.end()
         if kind == "comment":
             continue
         col_end = pos
@@ -150,13 +148,13 @@ def _scan_query(src):
             line += 1
             line_start = pos
         elif kind == "symbol":
-            toks.append((text, text, line, col, start, pos))
+            toks.append((text, text, line, col))
         elif kind == "word":
             word_kind = "VAR" if (text[0].isupper() or text[0] == "_") else "IDENT"
-            toks.append((word_kind, text, line, col, start, pos))
+            toks.append((word_kind, text, line, col))
         elif kind == "int":
-            toks.append(("INT", text, line, col, start, pos))
-    toks.append(("EOF", "", line, col_end - line_start + 1, len(src), len(src)))
+            toks.append(("INT", text, line, col))
+    toks.append(("EOF", "", line, col_end - line_start + 1))
     return toks
 
 
@@ -216,10 +214,8 @@ def compare(grammar, src):
         return
     assert bad is None, (grammar, src)
     assert texts[-1] == "" and "" not in texts[:-1], (grammar, src)
-    spans = token_spans(src, pattern)
-    got = [(kind(t), t) + token_position(src, pattern, k) + spans[k]
-           for k, t in enumerate(texts)]
-    assert [g[:len(r)] for g, r in zip(got, ref)] == ref and len(got) == len(ref), (grammar, src)
+    got = [(kind(t), t) + token_position(src, pattern, k) for k, t in enumerate(texts)]
+    assert got == ref, (grammar, src)
 
 
 def run(count, seed=0):
