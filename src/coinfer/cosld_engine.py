@@ -23,6 +23,7 @@ budget is reported as inconclusive (depth_hit), never as failure.
 
 import re
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from functools import partial
 
@@ -939,26 +940,35 @@ class _QueryParser(TokenParser):
 
     def prelude(self):
         """Parse the leading 'VAR = type;' equations where they stand and
-        return the graph of each declared name.  One resolve builds them
-        all, so an error in any is reported against the first."""
+        return the graph of each declared name.  A parse error names the
+        equation it stands in, an unbound variable the equation that
+        refers to it.  One resolve builds them all, so an error there is
+        reported against the first."""
         texts, toks = self.texts, self.toks
+        eq = None  # the equation being read
 
         def more(i):
-            return toks[i][0] == "VAR" and texts[i + 1] == "="
+            nonlocal eq
+            starts = toks[i][0] == "VAR" and texts[i + 1] == "="
+            if starts:
+                eq = texts[i]
+            return starts
 
         def fail(k, msg):
             raise ParseError(msg, *token_position(self.src, _QTOKEN, k))
 
         if not more(self.i):
             return {}
-        first = texts[self.i]
+        first = eq
         try:
             bindings, self.i, unbound = parse_equations(texts, self.i, False, fail, more)
             if unbound is not None:
-                raise TermError("unbound variable %s" % unbound)
+                eq, name = unbound
+                raise TermError("unbound variable %s" % name)
+            eq = first
             named = resolve_names(EquationSystem(bindings, first))
         except TermError as exc:
-            raise EngineError("in type equation for %s: %s" % (first, exc))
+            raise EngineError("in type equation for %s: %s" % (eq, exc))
         return {name: named[name] for name in bindings}
 
     def atom(self, type_terms):
@@ -1174,9 +1184,17 @@ def format_term_text(t):
 
 
 def format_answer(answer):
-    """One line per query variable; ground queries print the whole atom."""
-    if not answer.bindings:
-        args = ",".join(format_term_text(a) for a in answer.atom.args)
-        return "%s(%s)" % (answer.atom.pred, args)
-    return "\n".join("%s = %s" % (name, format_term_text(t))
-                     for name, t in answer.bindings.items())
+    """One line per query variable the answer constrains.  A variable left
+    unbound that no other binding reaches is left out; when no line is
+    left, as for a ground query, the whole atom is printed."""
+    terms = answer.bindings.values()
+    reach = Counter()  # variable -> the bindings that reach it; walked only when needed
+    if any(isinstance(deref(t), Var) for t in terms):
+        reach.update(id(v) for t in terms for v in _vars([t]))
+    lines = ["%s = %s" % (name, format_term_text(t))
+             for name, t in answer.bindings.items()
+             if not (isinstance(deref(t), Var) and reach[id(deref(t))] == 1)]
+    if lines:
+        return "\n".join(lines)
+    args = ",".join(format_term_text(a) for a in answer.atom.args)
+    return "%s(%s)" % (answer.atom.pred, args)

@@ -31,6 +31,7 @@ from coinfer.term_core import (
     _scc_order,
     canonicalize,
     subterm_closure,
+    union_alternatives,
 )
 
 DEFAULT_LIMIT = 1_000_000
@@ -58,16 +59,7 @@ def member(v, t, limit=DEFAULT_LIMIT):
         premise of pair p; False when all of them are refuted already."""
         alts = alts_of.get(t.uid)
         if alts is None:
-            alts, seen, stack = [], set(), [t]
-            while stack:
-                n = stack.pop()
-                if n.uid not in seen:
-                    seen.add(n.uid)
-                    if type(n) is UnionType:
-                        stack += (n.right, n.left)
-                    else:
-                        alts.append(n)
-            alts_of[t.uid] = alts
+            alts = alts_of[t.uid] = union_alternatives(t)
         g = len(owner)
         live = 0
         for s in alts:

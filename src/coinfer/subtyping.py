@@ -17,9 +17,10 @@ field types drawn from the original left closure), so the set of
 reachable judgments is finite; the engine asserts this on every new
 judgment, which is the termination argument.
 
-One engine answers both subtype and derive.  It walks the judgment
-graph depth first, expanding a judgment's rule options when it enters
-the judgment, and finds strongly connected components on the fly
+One engine answers both subtype and derive; subtype runs it only when
+the roots' union alternatives do not settle the pair.  It walks the
+judgment graph depth first, expanding a judgment's rule options when it
+enters the judgment, and finds strongly connected components on the fly
 (Tarjan).  It settles each component as soon as the walk closes it:
 the component's verdict set is the largest one where every held
 judgment has a rule option whose premises all hold, and where following
@@ -50,6 +51,7 @@ from coinfer.term_core import (
     canonicalize,
     print_type,
     subterm_closure,
+    union_alternatives,
 )
 
 DEFAULT_MEMO_LIMIT = 1_000_000
@@ -318,10 +320,25 @@ class _Engine:
 def subtype(t1, t2, memo_limit=DEFAULT_MEMO_LIMIT):
     """True iff a contractive derivation of t1 <= t2 exists.
 
-    Raises BudgetExceeded (never returns false) when the reachable
-    judgment space outgrows memo_limit entries.
+    When the canonical roots are one node, or every union alternative of
+    t1 is one of t2, the pair holds without a walk: left-union steps
+    split t1 into its alternatives, right-union steps along a shortest
+    union path reach each one in t2, and a <= a holds for every node a.
+    A union-only cycle has no alternatives, so it is below everything.
+    Any other pair runs the engine.
+
+    memo_limit bounds the judgments the engine walks; pairs settled by
+    their alternatives walk none.  Raises BudgetExceeded (never returns
+    false) when the reachable judgment space outgrows it.
     """
-    return _Engine(t1, t2, memo_limit).holds()
+    left, right = canonicalize(t1), canonicalize(t2)
+    if left is right:
+        return True
+    if type(left) is UnionType or type(right) is UnionType:  # else each is its own
+        alts = set(union_alternatives(right))
+        if all(a in alts for a in union_alternatives(left)):
+            return True
+    return _Engine(left, right, memo_limit).holds()
 
 
 def derive(t1, t2, memo_limit=DEFAULT_MEMO_LIMIT):

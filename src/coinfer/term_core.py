@@ -144,6 +144,22 @@ def subterm_closure(t):
     return list(seen.values())
 
 
+def union_alternatives(t):
+    """The non-union nodes t reaches through union edges alone, each once,
+    left side first.  A type denotes the union of its alternatives, so a
+    union-only cycle, which has none, is empty."""
+    alts, seen, stack = [], set(), [t]
+    while stack:
+        n = stack.pop()
+        if n.uid not in seen:
+            seen.add(n.uid)
+            if type(n) is UnionType:
+                stack += (n.right, n.left)
+            else:
+                alts.append(n)
+    return alts
+
+
 # ---------------------------------------------------------------------------
 # syntactic equation systems (the parsed form)
 
@@ -416,7 +432,8 @@ def _parse_expr(toks, i, values, refs, fail):
 def parse_equations(toks, i, values, fail, more):
     """Equations VAR '=' expr ';' from token i while more(i) holds.  Returns
     the bindings name -> expression, the index after them, and the first
-    name they refer to but do not bind, or None."""
+    name they refer to but do not bind, as (binding that refers to it,
+    name), or None."""
     bindings = {}
     refs = []  # per binding, the names it refers to in source order
     while more(i):
@@ -432,10 +449,10 @@ def parse_equations(toks, i, values, fail, more):
         if toks[i] != ";":
             _expected(fail, toks, i, "';'")
         i += 1
-    for names in refs:  # from each end, as a stack walk of the expressions meets them
+    for eq, names in zip(bindings, refs):  # from each end, as a stack walk meets them
         for name in reversed(names):
             if name not in bindings:
-                return bindings, i, name
+                return bindings, i, (eq, name)
     return bindings, i, None
 
 
@@ -451,7 +468,7 @@ def _parse_system(src, values):
     if toks[end]:
         _expected(fail, toks, end, "end of input")
     if unbound is not None:
-        raise TermError("unbound variable %s" % unbound)
+        raise TermError("unbound variable %s" % unbound[1])
     if root not in bindings:
         fail(i + 1, "unbound root variable %s" % root)
     return EquationSystem(bindings, root)

@@ -112,10 +112,15 @@ def test_subtype_trace_runs_the_engine_once(tmp_path, capsys, monkeypatch, fmt, 
 
 
 def test_subtype_budget_reported_as_exit3(tmp_path, capsys):
+    evn = put(tmp_path, "evn.ty", EVN)
     nat = put(tmp_path, "nat.ty", NAT)
-    rc = main(["subtype", nat, nat, "--memo-limit", "1"])
+    rc = main(["subtype", evn, nat, "--memo-limit", "1"])
     assert rc == 3
     assert "budget" in capsys.readouterr().err
+    # the budget bounds the judgments walked; nat <= nat is settled by
+    # its union alternatives and walks none
+    assert main(["subtype", nat, nat, "--memo-limit", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "subtype"
 
 
 def test_empty_bottom_prints_empty(tmp_path, capsys):
@@ -345,7 +350,12 @@ def test_solve_open_record_access(tmp_path, capsys):
     prog = put(tmp_path, "pair.prog", PAIR)
     query = "rec_acc([fst:int,snd:obj(k,[])|Q], snd, T)"
     assert main(["solve", prog, "--query", query]) == 0
-    assert "T = obj(k,[])" in capsys.readouterr().out.splitlines()
+    # the tail Q stays unbound and no other binding reaches it
+    assert capsys.readouterr().out.splitlines() == ["T = obj(k,[])"]
+    assert main(["solve", prog, "--query", query, "--format", "json"]) == 0
+    answer, = json.loads(capsys.readouterr().out)["answers"]
+    assert answer["text"] == "T = obj(k,[])"
+    assert sorted(answer["bindings"]) == ["Q", "T"]
 
 
 def test_solve_bad_query_is_usage_error(tmp_path, capsys):

@@ -530,9 +530,22 @@ def test_parse_query_long_prelude_parses_once(k):
     assert elapsed < 1.0, "a %d-equation prelude took %.2fs" % (k, elapsed)
 
 
-def test_parse_query_prelude_error_names_the_first_equation():
-    with pytest.raises(EngineError, match="in type equation for X:"):
-        parse_query("X = int; Y = obj(a, [f: Z]); invoke(X, m, [], R)")
+def test_parse_query_prelude_error_names_its_equation():
+    # a parse error names the equation it stands in, an unbound variable
+    # the equation that refers to it; a resolve error names the first
+    for query, message in [
+            ("X = int; Y = obj(a, [f: Z]); invoke(X, m, [], R)",
+             "in type equation for Y: unbound variable Z"),
+            ("X = obj(a, [f: int]);\n  Y = (int; p(X)",
+             "in type equation for Y: line 2, col 11: expected ')', found ';'"),
+            ("X = int; Y = Z; p(X)", "in type equation for Y: unbound variable Z"),
+            ("X = int Y = int; p(X)",
+             "in type equation for X: line 1, col 9: expected ';', found 'Y'"),
+            ("X = Y; Y = X; p(X)", "in type equation for X: variable cycle X = Y = X"),
+    ]:
+        with pytest.raises(EngineError) as err:
+            parse_query(query)
+        assert str(err.value).startswith(message), (query, str(err.value))
 
 
 def test_format_answer_prints_equations_for_cycles():
@@ -653,6 +666,18 @@ def test_unbound_answer_variables_keep_clause_names(program, query, answers):
     res = solve(parse_query(query), clauses_for(program), SolverConfig())
     assert [format_answer(a) for a in res.answers] == answers
     assert res.steps == 3 and res.complete and not res.depth_hit
+
+
+@pytest.mark.parametrize("query,answer,names", [
+    ("rec_acc([fst:int,snd:obj(k,[])|Q], snd, T)", "T = obj(k,[])", ["Q", "T"]),
+    ("rec_acc([fst:int|Q], fst, int)", "rec_acc([fst:int|Q],fst,int)", ["Q"]),
+], ids=["tail_left_out", "atom_when_none_left"])
+def test_answer_leaves_out_unconstrained_variables(query, answer, names):
+    # Q stays unbound and no other binding reaches it, so the text says
+    # nothing about it; the bindings still hold every query variable
+    res = solve(parse_query(query), clauses_for(PAIR), SolverConfig())
+    assert [format_answer(a) for a in res.answers] == [answer]
+    assert list(res.answers[0].bindings) == names
 
 
 README_QUERIES = [

@@ -2,10 +2,12 @@ import pytest
 
 from coinfer.emptiness import not_empty
 from coinfer.interpretation import member, sample_values
+import coinfer.subtyping as subtyping
 from coinfer.subtyping import (
     BackEdge,
     Derivation,
     DerivationNode,
+    _Engine,
     derive,
     equivalent,
     subtype,
@@ -16,7 +18,9 @@ from coinfer.term_core import (
     ObjType,
     UnionType,
     canonicalize,
+    subterm_closure,
     type_from_source,
+    union_alternatives,
 )
 
 from conftest import (
@@ -405,3 +409,114 @@ def test_memo_reuse_across_branches_stays_sound():
     for left, right in [(IntType(), t1), (t1, IntType()), (t2, bot()),
                         (t2, d2), (d2, t2)]:
         assert subtype_oracle(left, right)
+
+
+# --- deciding a pair by its roots' union alternatives ------------------------
+
+def test_engine_proves_reflexivity():
+    # subtype settles t <= t and alternative-included pairs without the
+    # engine because the engine derives a <= a for every node a
+    rng = seeded(412)
+    graphs = list(number_types().values())
+    graphs += [random_type(rng, rng.randint(1, 10)) for _ in range(2000)]
+    graphs += [random_connected_type(rng, rng.randint(4, 14)) for _ in range(1000)]
+    for t in graphs:
+        c = canonicalize(t)
+        assert _Engine(c, c, 100_000).holds(), t
+
+
+def union_of(items, rng):
+    """The items joined by unions in a random nesting."""
+    items = list(items)
+    while len(items) > 1:
+        i = rng.randrange(len(items) - 1)
+        items[i:i + 2] = [UnionType(items[i], items[i + 1])]
+    return items[0]
+
+
+def with_field_changed(t, rng):
+    """A copy of t with one object field pointing at a random type, or
+    None when t reaches no object with fields."""
+    t = inflate(t, rng, copies=1)
+    objs = [n for n in subterm_closure(t) if isinstance(n, ObjType) and n.fields]
+    if not objs:
+        return None
+    o = rng.choice(objs)
+    o.fields[rng.choice(sorted(o.fields))] = random_type(rng, rng.randint(1, 4))
+    return t
+
+
+def alternative_pairs():
+    """Pairs built to be settled by the roots' union alternatives, or to
+    just miss: a type against a bisimilar copy, against its union with
+    another, union spines against permuted and re-nested ones, union-only
+    cycles on the left, and each with one alternative dropped or one
+    field changed."""
+    rng = seeded(413)
+    empties = [bot(), type_from_source("A = C \\/ A; C = A \\/ A; root A"),
+               type_from_source("A = A \\/ (A \\/ A); root A")]
+    for _ in range(80):
+        t = random_type(rng, rng.randint(1, 6))
+        u = random_type(rng, rng.randint(1, 6))
+        yield t, inflate(t, rng)
+        yield t, UnionType(t, u)
+        yield t, UnionType(u, inflate(t, rng))
+        yield UnionType(u, t), UnionType(t, u)
+        items = [random_type(rng, rng.randint(1, 4)) for _ in range(rng.randint(2, 5))]
+        spine = union_of(items, rng)
+        shuffled = rng.sample(items, len(items))
+        yield spine, union_of(shuffled, rng)
+        yield spine, union_of(shuffled[1:], rng)
+        yield union_of(shuffled[1:], rng), spine
+        changed = with_field_changed(spine, rng)
+        if changed is not None:
+            yield spine, changed
+            yield changed, spine
+        changed = with_field_changed(t, rng)
+        if changed is not None:
+            yield t, changed
+        e = rng.choice(empties)
+        yield e, t
+        yield UnionType(e, t), t
+        yield UnionType(e, t), UnionType(u, e)
+
+
+def settled_by_alternatives(t1, t2):
+    left, right = canonicalize(t1), canonicalize(t2)
+    return left is right or set(union_alternatives(left)) <= set(union_alternatives(right))
+
+
+def test_alternatives_agree_with_engine_oracle_and_derive():
+    settled = missed = 0
+    for t1, t2 in alternative_pairs():
+        verdict = subtype(t1, t2)
+        assert verdict == _Engine(t1, t2, 100_000).holds() == subtype_oracle(t1, t2)
+        assert (derive(t1, t2) is not None) == verdict
+        if settled_by_alternatives(t1, t2):
+            assert verdict
+            settled += 1
+        else:
+            missed += 1
+    assert settled > 600 and missed > 200, (settled, missed)
+
+
+def test_alternatives_settle_pairs_without_the_engine(monkeypatch):
+    built = []
+
+    class Counting(_Engine):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(subtyping, "_Engine", Counting)
+    rng = seeded(414)
+    for _ in range(50):
+        t = random_type(rng, rng.randint(1, 8))
+        u = random_type(rng, rng.randint(1, 8))
+        assert subtype(t, inflate(t, rng))
+        assert subtype(t, UnionType(u, t))
+    assert subtype(bot(), IntType())
+    assert built == []
+    types = number_types()
+    assert subtype(types["evn"], types["nat"])
+    assert len(built) == 1

@@ -25,6 +25,7 @@ from coinfer.term_core import (
     term_to_json,
     type_from_json,
     type_from_source,
+    union_alternatives,
     value_from_json,
     value_from_source,
 )
@@ -243,6 +244,16 @@ def test_subterm_closure_order_replays_seeded_inflate():
                            capture_output=True, text=True, check=True).stdout
             for n in (0, 50001)]
     assert outs[0] and outs[0] == outs[1]
+
+
+def test_union_alternatives_left_first_each_once():
+    t = type_from_source("U = (A \\/ int) \\/ (B \\/ A \\/ U); A = obj(a, []);"
+                         " B = B \\/ B; root U")
+    assert [print_type(a) for a in union_alternatives(t)] == [
+        "T0 = obj(a, []);\nroot T0", "T0 = int;\nroot T0"]
+    assert union_alternatives(type_from_source("B = B \\/ B; root B")) == []
+    a = type_from_source("A = obj(a, [f: A \\/ int]); root A")
+    assert union_alternatives(a) == [a]
 
 
 def test_canonical_values():
