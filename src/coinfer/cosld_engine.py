@@ -39,8 +39,8 @@ from .horn_compiler import (
 )
 from .subtyping import subtype
 from .term_core import (
-    EquationSystem, IntType, ObjType, ParseError, TermError, TokenParser, UnionType,
-    parse_equations, resolve_names, token_kind, token_position,
+    IntType, ObjType, ParseError, TermError, TokenParser, UnionType,
+    link_equations, parse_equations, token_kind, token_position,
 )
 
 
@@ -940,9 +940,10 @@ class _QueryParser(TokenParser):
 
     def prelude(self):
         """Parse the leading 'VAR = type;' equations where they stand and
-        return the graph of each declared name.  A parse error names the
+        return the graph of each declared name.  Names are the query's
+        variables, so they may start with "_".  A parse error names the
         equation it stands in, an unbound variable the equation that
-        refers to it.  One resolve builds them all, so an error there is
+        refers to it.  One link builds them all, so an alias cycle is
         reported against the first."""
         texts, toks = self.texts, self.toks
         eq = None  # the equation being read
@@ -961,15 +962,15 @@ class _QueryParser(TokenParser):
             return {}
         first = eq
         try:
-            bindings, self.i, unbound = parse_equations(texts, self.i, False, fail, more)
+            bindings, self.i, unbound = parse_equations(texts, self.i, False, fail, more,
+                                                        underscore=True)
             if unbound is not None:
                 eq, name = unbound
                 raise TermError("unbound variable %s" % name)
             eq = first
-            named = resolve_names(EquationSystem(bindings, first))
+            return link_equations(bindings)
         except TermError as exc:
             raise EngineError("in type equation for %s: %s" % (eq, exc))
-        return {name: named[name] for name in bindings}
 
     def atom(self, type_terms):
         name = self.expect("IDENT")

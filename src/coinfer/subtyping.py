@@ -40,8 +40,6 @@ premise was justified, so every cycle of chosen options applies a
 guarding rule.
 """
 
-from dataclasses import dataclass, field
-
 from coinfer.emptiness import inhabited
 from coinfer.term_core import (
     BudgetExceeded,
@@ -67,19 +65,21 @@ R_EMPTY = "empty"
 CONTRACTIVE_RULES = frozenset({R_OR_L, R_OBJ, R_DISTR})
 
 
-@dataclass
 class DerivationNode:
-    left: object
-    right: object
-    rule: str
-    uid: int  # position in the derivation's node list
-    children: list = field(default_factory=list)
+    __slots__ = ("left", "right", "rule", "uid", "children")
+
+    def __init__(self, left, right, rule, uid):
+        self.left, self.right, self.rule = left, right, rule
+        self.uid = uid  # position in the derivation's node list
+        self.children = []  # premises (DerivationNode) and BackEdges
 
 
-@dataclass
 class BackEdge:
-    target: DerivationNode
-    labels: frozenset  # the rules applied on the cycle it closes
+    __slots__ = ("target", "labels")
+
+    def __init__(self, target, labels):
+        self.target = target
+        self.labels = labels  # the rules applied on the cycle it closes
 
 
 def _inline(t):

@@ -12,7 +12,6 @@ import itertools
 import json as _json
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 
 _uids = itertools.count(1)
@@ -161,52 +160,22 @@ def union_alternatives(t):
 
 
 # ---------------------------------------------------------------------------
-# syntactic equation systems (the parsed form)
+# equation systems
 
-@dataclass
-class IntExpr:
-    pass
-
-
-@dataclass
-class RefExpr:
-    name: str
-
-
-@dataclass
-class ObjExpr:
-    class_name: str
-    fields: list  # of (name, expr)
-
-
-@dataclass
-class UnionExpr:
-    left: object
-    right: object
-
-
-@dataclass
-class IntLitExpr:
-    value: int
-
-
-@dataclass
-class ObjValExpr:
-    class_name: str
-    fields: list
-
-
-@dataclass
 class EquationSystem:
-    """Bindings VAR -> syntactic expression, plus a root variable.
+    """Bindings VAR -> term graph node, plus a root variable.
 
     Guardedness is not required: ``X = X \\/ X`` is legal and denotes the
     all-union infinite tree.  Only pure variable alias cycles (``X = X``)
-    are rejected, at resolve time, since they denote no unique tree.
+    are rejected, when the system is read, since they denote no unique
+    tree.
     """
 
-    bindings: dict
-    root: str
+    __slots__ = ("bindings", "root")
+
+    def __init__(self, bindings, root):
+        self.bindings = bindings
+        self.root = root
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +291,13 @@ def _expected(fail, toks, k, what):
     fail(k, "expected %s, found %r" % (what, toks[k] or "end of input"))
 
 
-def _parse_expr(toks, i, values, refs, fail):
-    """The expression that starts at token i, and the index after it;
-    appends the names it refers to to refs.  fail(k, msg) raises the
-    error of token k.
+def _parse_expr(toks, i, values, refs, fail, underscore=False):
+    """The expression that starts at token i, as a node or, for a lone
+    name, that name; and the index after it.  A name stays as its string
+    in its slot and is appended to refs; nodes get no uid and keep their
+    fields as (name, child) pairs in source order until link_equations.
+    fail(k, msg) raises the error of token k.  With underscore, a name may
+    also start with "_", as in the query grammar.
 
     expr := atom ('\\/' atom)*, right associative; values have no unions.
     atom := '(' expr ')' | VAR | INT | 'int'
@@ -334,7 +306,8 @@ def _parse_expr(toks, i, values, refs, fail):
     object fields, so nesting depth costs no recursion.
     """
     sep = "->" if values else ":"
-    make = ObjValExpr if values else ObjExpr
+    obj = ObjValue if values else ObjType
+    new = object.__new__
     stack = []  # ["(", outer parts] or ["[", outer parts, class, fields, seen, field]
     parts = []  # the atoms before each '\\/' of the innermost open expression
     while True:
@@ -354,7 +327,8 @@ def _parse_expr(toks, i, values, refs, fail):
                 if toks[i + 6] != ")":
                     _expected(fail, toks, i + 6, "')'")
                 i += 7
-                atom = make(cls, [])
+                atom = new(obj)
+                atom.class_name, atom.fields = cls, []
             else:
                 if _kind(f) != "IDENT":
                     _expected(fail, toks, i + 5, "field name")
@@ -364,10 +338,10 @@ def _parse_expr(toks, i, values, refs, fail):
                 parts = []
                 i += 7
                 continue
-        elif t[:1].isupper() and t[0].isalpha():  # _kind(t) == "VAR", inlined
+        elif t[:1].isupper() and t[0].isalpha() or underscore and t[:1] == "_":  # a name
             refs.append(t)
             i += 1
-            atom = RefExpr(t)
+            atom = t
         elif t == "(":
             stack.append(["(", parts])
             parts = []
@@ -377,12 +351,13 @@ def _parse_expr(toks, i, values, refs, fail):
             if values:
                 fail(i, "'int' is a type, not a value")
             i += 1
-            atom = IntExpr()
+            atom = new(IntType)
         elif _kind(t) == "INT":
             if not values:
                 fail(i, "integer literals only appear in value terms")
             i += 1
-            atom = IntLitExpr(int(t))
+            atom = new(IntValue)
+            atom.value = int(t)
         elif _kind(t) == "IDENT":
             fail(i, "unexpected identifier %r" % t)
         else:
@@ -395,7 +370,9 @@ def _parse_expr(toks, i, values, refs, fail):
                 i += 1
                 break
             while parts:
-                atom = UnionExpr(parts.pop(), atom)
+                union = new(UnionType)
+                union.left, union.right = parts.pop(), atom
+                atom = union
             if not stack:
                 return atom, i
             frame = stack.pop()
@@ -426,26 +403,28 @@ def _parse_expr(toks, i, values, refs, fail):
             if toks[i + 1] != ")":
                 _expected(fail, toks, i + 1, "')'")
             i += 2
-            atom = make(frame[2], fields)
+            atom = new(obj)
+            atom.class_name, atom.fields = frame[2], fields
 
 
-def parse_equations(toks, i, values, fail, more):
-    """Equations VAR '=' expr ';' from token i while more(i) holds.  Returns
-    the bindings name -> expression, the index after them, and the first
-    name they refer to but do not bind, as (binding that refers to it,
-    name), or None."""
+def parse_equations(toks, i, values, fail, more, underscore=False):
+    """Equations VAR '=' expr ';' from token i while more(i) holds, read
+    by _parse_expr.  Returns the bindings name -> node or, for an alias,
+    the name it stands for; the index after them; and the first name they
+    refer to but do not bind, as (binding that refers to it, name), or
+    None.  link_equations makes the bindings a term graph."""
     bindings = {}
     refs = []  # per binding, the names it refers to in source order
     while more(i):
         name = toks[i]
-        if _kind(name) != "VAR":
+        if not (name[:1].isupper() and name[0].isalpha() or underscore and name[:1] == "_"):
             fail(i, "expected a declaration 'VAR = ...' or 'root VAR'")
         if name in bindings:
             fail(i, "duplicate binding for %s" % name)
         if toks[i + 1] != "=":
             _expected(fail, toks, i + 1, "'='")
         refs.append([])
-        bindings[name], i = _parse_expr(toks, i + 2, values, refs[-1], fail)
+        bindings[name], i = _parse_expr(toks, i + 2, values, refs[-1], fail, underscore)
         if toks[i] != ";":
             _expected(fail, toks, i, "';'")
         i += 1
@@ -454,6 +433,52 @@ def parse_equations(toks, i, values, fail, more):
             if name not in bindings:
                 return bindings, i, (eq, name)
     return bindings, i, None
+
+
+def link_equations(bindings):
+    """name -> node, in binding order, for read equations whose names are
+    all bound.  One pass chases aliases, rejecting alias cycles like
+    X = Y; Y = X, swaps each name left in a slot for its node, and numbers
+    the nodes: each bound node as the names in binding order reach it,
+    then a last-in-first-out walk, a union's left child before its right,
+    an object's fields in source order.  Samplers break ties by uid."""
+    named = dict.fromkeys(bindings)
+    pending = []
+    uids = _uids
+    for name in bindings:
+        if named[name] is not None:
+            continue
+        chain = [name]
+        node = bindings[name]
+        while type(node) is str and named[node] is None:
+            if node in chain:
+                raise TermError(
+                    "variable cycle %s has no unique solution" % " = ".join(chain + [node]))
+            chain.append(node)
+            node = bindings[node]
+        if type(node) is str:
+            node = named[node]
+        else:
+            node.uid = next(uids)
+            pending.append(node)
+        for alias in chain:
+            named[alias] = node
+
+    def link(sub):
+        if type(sub) is str:
+            return named[sub]
+        sub.uid = next(uids)
+        pending.append(sub)
+        return sub
+
+    while pending:
+        node = pending.pop()
+        kind = type(node)
+        if kind is UnionType:
+            node.left, node.right = link(node.left), link(node.right)
+        elif kind is ObjType or kind is ObjValue:
+            node.fields = dict(sorted([(f, link(sub)) for f, sub in node.fields]))
+    return named
 
 
 def _parse_system(src, values):
@@ -471,101 +496,25 @@ def _parse_system(src, values):
         raise TermError("unbound variable %s" % unbound[1])
     if root not in bindings:
         fail(i + 1, "unbound root variable %s" % root)
-    return EquationSystem(bindings, root)
+    return EquationSystem(link_equations(bindings), root)
 
 
 def parse_type(source):
-    """Parse equation-system text into an EquationSystem of type expressions."""
+    """Read equation-system text into an EquationSystem of type nodes."""
     return _parse_system(source, values=False)
 
 
 def parse_value(source):
-    """Parse equation-system text into an EquationSystem of value expressions."""
+    """Read equation-system text into an EquationSystem of value nodes."""
     return _parse_system(source, values=True)
 
 
-# ---------------------------------------------------------------------------
-# resolving a system into a term graph
-
-def _representatives(system):
-    """Chase pure-variable aliases; reject alias cycles like X = Y; Y = X."""
-    reps = {}
-    for name in system.bindings:
-        seen = [name]
-        expr = system.bindings[name]
-        while isinstance(expr, RefExpr):
-            if expr.name in seen:
-                raise TermError(
-                    "variable cycle %s has no unique solution" % " = ".join(seen + [expr.name]))
-            seen.append(expr.name)
-            expr = system.bindings[expr.name]
-        for alias in seen:
-            reps[alias] = expr
-    return reps
-
-
-def resolve_names(system, values=False):
-    """The term graph of every name an equation system binds: name -> node."""
-    reps = _representatives(system)
-
-    def make_node(expr):
-        if isinstance(expr, IntExpr):
-            if values:
-                raise TermError("type expression in a value system")
-            return IntType()
-        if isinstance(expr, ObjExpr):
-            if values:
-                raise TermError("type expression in a value system")
-            return ObjType(expr.class_name)
-        if isinstance(expr, UnionExpr):
-            if values:
-                raise TermError("union is not a value constructor")
-            return UnionType()
-        if isinstance(expr, IntLitExpr):
-            if not values:
-                raise TermError("value expression in a type system")
-            return IntValue(expr.value)
-        if isinstance(expr, ObjValExpr):
-            if not values:
-                raise TermError("value expression in a type system")
-            return ObjValue(expr.class_name)
-        raise TypeError(expr)
-
-    # one node per distinct bound expression; aliases share it
-    by_expr = {}
-    named = {}
-    for name, expr in reps.items():
-        if id(expr) not in by_expr:
-            by_expr[id(expr)] = (make_node(expr), expr)
-        named[name] = by_expr[id(expr)][0]
-
-    pending = list(by_expr.values())
-
-    def subnode(expr):
-        if isinstance(expr, RefExpr):
-            return named[expr.name]
-        node = make_node(expr)
-        pending.append((node, expr))
-        return node
-
-    while pending:
-        node, expr = pending.pop()
-        if isinstance(expr, UnionExpr):
-            node.left = subnode(expr.left)
-            node.right = subnode(expr.right)
-        elif isinstance(expr, (ObjExpr, ObjValExpr)):
-            node.fields = dict(sorted((f, subnode(sub)) for f, sub in expr.fields))
-    return named
-
-
 def resolve(system):
-    """Build the type term graph denoted by an equation system."""
-    return resolve_names(system)[system.root]
+    """The term graph an equation system denotes: its root's node."""
+    return system.bindings[system.root]
 
 
-def resolve_value(system):
-    """Build the value term graph denoted by an equation system."""
-    return resolve_names(system, values=True)[system.root]
+resolve_value = resolve
 
 
 def type_from_source(source):
@@ -573,7 +522,7 @@ def type_from_source(source):
 
 
 def value_from_source(source):
-    return resolve_value(parse_value(source))
+    return resolve(parse_value(source))
 
 
 # ---------------------------------------------------------------------------
@@ -861,45 +810,31 @@ def equal(t1, t2):
 # ---------------------------------------------------------------------------
 # printing terms back to equation-system text
 
-def _naming_pass(root):
-    """Nodes that need a binding: the root, shared nodes, and cycle targets."""
-    named = {root.uid}
-    state = {}  # uid -> "open" | "done"
-    todo = [("enter", root)]
-    while todo:
-        op, n = todo.pop()
-        if op == "exit":
-            state[n.uid] = "done"
-            continue
-        st = state.get(n.uid)
-        if st is not None:
-            named.add(n.uid)
-            continue
-        state[n.uid] = "open"
-        todo.append(("exit", n))
-        for c in reversed(_children(n)):
-            todo.append(("enter", c))
-    return named
-
-
-def _format_term(root, values):
-    """Equation-system text: one binding per named node, numbered in the
-    order a depth-first walk that enters each named node once, where it is
-    first met, discovers them; every other node is written inline.  Both
-    walks keep explicit stacks, so depth costs no recursion."""
-    named = _naming_pass(root)
-    order = []  # the named nodes, by number
-    names = {}
+def _named_nodes(root):
+    """The bindings a printed term gets: uid -> name "T<k>" for the root,
+    shared nodes and cycle targets, numbered in the order a depth-first
+    walk from the root first enters them; and those nodes in that order."""
+    named = {root.uid}  # and every node the walk reaches again
+    seen = set()
+    preorder = []
     todo = [root]
     while todo:
         n = todo.pop()
-        if n.uid in named:
-            if n.uid in names:
-                continue
-            names[n.uid] = "T%d" % len(names)
-            order.append(n)
+        if n.uid in seen:
+            named.add(n.uid)
+            continue
+        seen.add(n.uid)
+        preorder.append(n)
         todo.extend(reversed(_children(n)))
+    order = [n for n in preorder if n.uid in named]
+    return {n.uid: "T%d" % k for k, n in enumerate(order)}, order
 
+
+def _format_term(root, values):
+    """Equation-system text: one binding per named node; every other node
+    is written inline.  The walks keep explicit stacks, so depth costs no
+    recursion."""
+    names, order = _named_nodes(root)
     sep = " -> " if values else ": "
 
     def parts(n, parens):
@@ -924,7 +859,7 @@ def _format_term(root, values):
             item = todo.pop()
             if isinstance(item, str):
                 text.append(item)
-            elif item[0].uid in named:
+            elif item[0].uid in names:
                 text.append(names[item[0].uid])
             else:
                 todo.extend(reversed(parts(*item)))
@@ -944,65 +879,128 @@ def print_value(v):
 
 # ---------------------------------------------------------------------------
 # JSON form (same structure as the text syntax: bindings + root)
-
-def _expr_to_json(expr):
-    if isinstance(expr, IntExpr):
-        return {"kind": "int"}
-    if isinstance(expr, RefExpr):
-        return {"kind": "ref", "name": expr.name}
-    if isinstance(expr, UnionExpr):
-        return {"kind": "union", "left": _expr_to_json(expr.left),
-                "right": _expr_to_json(expr.right)}
-    if isinstance(expr, ObjExpr):
-        return {"kind": "obj", "class": expr.class_name,
-                "fields": {f: _expr_to_json(e) for f, e in expr.fields}}
-    if isinstance(expr, IntLitExpr):
-        return {"kind": "intval", "value": expr.value}
-    if isinstance(expr, ObjValExpr):
-        return {"kind": "objval", "class": expr.class_name,
-                "fields": {f: _expr_to_json(e) for f, e in expr.fields}}
-    raise TypeError(expr)
-
-
-def _expr_from_json(data, values):
-    kind = data["kind"]
-    if kind == "int":
-        return IntExpr()
-    if kind == "ref":
-        return RefExpr(data["name"])
-    if kind == "union":
-        return UnionExpr(_expr_from_json(data["left"], values),
-                         _expr_from_json(data["right"], values))
-    if kind == "obj":
-        return ObjExpr(data["class"],
-                       [(f, _expr_from_json(e, values)) for f, e in data["fields"].items()])
-    if kind == "intval":
-        return IntLitExpr(data["value"])
-    if kind == "objval":
-        return ObjValExpr(data["class"],
-                          [(f, _expr_from_json(e, values)) for f, e in data["fields"].items()])
-    raise TermError("unknown term kind %r" % kind)
-
+#
+#   {"root": NAME, "bindings": {NAME: expr, ...}}
+#   expr := {"kind": "int"} | {"kind": "ref", "name": NAME}
+#         | {"kind": "union", "left": expr, "right": expr}
+#         | {"kind": "obj" | "objval", "class": NAME, "fields": {NAME: expr, ...}}
+#         | {"kind": "intval", "value": INT}
 
 def term_to_json(t):
-    """JSON text with the same bindings/root shape as the textual syntax."""
-    values = isinstance(t, ValueTerm)
-    system = (parse_value if values else parse_type)(_format_term(t, values))
-    return _json.dumps({
-        "root": system.root,
-        "bindings": {name: _expr_to_json(e) for name, e in system.bindings.items()},
-    }, indent=2)
+    """JSON text of the bindings print_type or print_value writes, in the
+    same order and under the same names."""
+    names, order = _named_nodes(t)
+    bindings = {}
+    for node in order:
+        todo = [(node, bindings, names[node.uid])]
+        while todo:
+            n, holder, key = todo.pop()
+            kind = type(n)
+            kids = ()
+            if kind is IntType:
+                expr = {"kind": "int"}
+            elif kind is IntValue:
+                expr = {"kind": "intval", "value": n.value}
+            elif kind is UnionType:
+                expr = {"kind": "union", "left": None, "right": None}
+                kids = ((n.left, expr, "left"), (n.right, expr, "right"))
+            else:
+                fields = dict.fromkeys(sorted(n.fields))
+                expr = {"kind": "objval" if kind is ObjValue else "obj",
+                        "class": n.class_name, "fields": fields}
+                kids = [(n.fields[f], fields, f) for f in fields]
+            holder[key] = expr
+            for c, into, slot in kids:
+                if c.uid in names:
+                    into[slot] = {"kind": "ref", "name": names[c.uid]}
+                else:
+                    todo.append((c, into, slot))
+    return _json.dumps({"root": names[t.uid], "bindings": bindings}, indent=2)
+
+
+_JSON_NODE = {"int": IntType, "union": UnionType, "obj": ObjType,
+              "intval": IntValue, "objval": ObjValue}
+_WRONG_SORT = {  # (values?, kind) -> the error of a constructor of the other sort
+    (True, "int"): "type expression in a value system",
+    (True, "obj"): "type expression in a value system",
+    (True, "union"): "union is not a value constructor",
+    (False, "intval"): "value expression in a type system",
+    (False, "objval"): "value expression in a type system",
+}
+
+
+def _from_json(text, values):
+    """The root node of a JSON term.  Its nodes are made on an explicit
+    stack in the order they are written, names left in their slots, and
+    linked by link_equations.  A malformed input raises TermError: a shape
+    fault when it is read, then an unbound name, the root, an alias cycle,
+    and a constructor of the other sort last, in the order of node uids."""
+    try:
+        data = _json.loads(text)
+    except ValueError as exc:
+        raise TermError("invalid JSON: %s" % exc) from None
+    if (type(data) is not dict or type(data.get("root")) is not str
+            or type(data.get("bindings")) is not dict):
+        raise TermError('a JSON term is an object with a name string "root" and '
+                        'an object "bindings"')
+    bindings = {}
+    refs = []
+    wrong = []  # (node, error) for each constructor of the other sort
+    new = object.__new__
+    todo = [(bindings, name, expr) for name, expr in reversed(data["bindings"].items())]
+    while todo:
+        holder, slot, expr = todo.pop()
+        if type(expr) is not dict or "kind" not in expr:
+            raise TermError('a term is a JSON object with a "kind", not %.60s'
+                            % _json.dumps(expr))
+        kind = expr["kind"]
+        if kind == "ref":
+            node = expr.get("name")
+            if type(node) is not str:
+                raise TermError('a ref has a name string "name"')
+            refs.append(node)
+        elif type(kind) is not str or kind not in _JSON_NODE:
+            raise TermError("unknown term kind %r" % kind)
+        else:
+            node = new(_JSON_NODE[kind])
+            if (values, kind) in _WRONG_SORT:
+                wrong.append((node, _WRONG_SORT[values, kind]))
+            if kind == "union":
+                if "left" not in expr or "right" not in expr:
+                    raise TermError('a union has a "left" and a "right" term')
+                node.left = node.right = None
+                todo += [(node, "right", expr["right"]), (node, "left", expr["left"])]
+            elif kind == "intval":
+                node.value = expr.get("value")
+                if type(node.value) is not int:
+                    raise TermError('an intval has an integer "value"')
+            elif kind != "int":
+                node.class_name, fields = expr.get("class"), expr.get("fields")
+                if type(node.class_name) is not str or type(fields) is not dict:
+                    raise TermError('an %s has a name string "class" and an object "fields"'
+                                    % kind)
+                node.fields = [[f, None] for f in fields]
+                todo += [(pair, 1, sub) for pair, sub
+                         in zip(node.fields[::-1], list(fields.values())[::-1])]
+        if type(holder) is UnionType:
+            setattr(holder, slot, node)
+        else:  # the bindings, or an object's [field, child] pair
+            holder[slot] = node
+    for name in refs:
+        if name not in bindings:
+            raise TermError("unbound variable %s" % name)
+    root = data["root"]
+    if root not in bindings:
+        raise TermError("unbound root variable %s" % root)
+    named = link_equations(bindings)
+    if wrong:
+        raise TermError(min(wrong, key=lambda w: w[0].uid)[1])
+    return named[root]
 
 
 def type_from_json(text):
-    data = _json.loads(text)
-    bindings = {name: _expr_from_json(e, values=False)
-                for name, e in data["bindings"].items()}
-    return resolve(EquationSystem(bindings, data["root"]))
+    return _from_json(text, values=False)
 
 
 def value_from_json(text):
-    data = _json.loads(text)
-    bindings = {name: _expr_from_json(e, values=True)
-                for name, e in data["bindings"].items()}
-    return resolve_value(EquationSystem(bindings, data["root"]))
+    return _from_json(text, values=True)

@@ -7,7 +7,9 @@ and membership instead of the library's component-wise engine and
 counter refutation, so each pair can check each other.
 """
 
+import json
 import random
+from dataclasses import dataclass
 
 from coinfer.term_core import (
     IntType,
@@ -420,3 +422,295 @@ def inflate(t, rng, copies=2):
                 clone.fields = {f: rng.choice(clones[c.uid])
                                 for f, c in n.fields.items()}
     return clones[t.uid][0]
+
+
+# The term reader as it was before it built the graph in one pass: the
+# parser made a tree of syntactic expressions, and resolve_names made the
+# graph from it in a second walk.  JSON went through the same expressions,
+# and term_to_json printed the text and parsed it back.  The reader and
+# writer in term_core must agree with it on text, node numbering and
+# errors.
+
+@dataclass
+class IntExpr:
+    pass
+
+
+@dataclass
+class RefExpr:
+    name: str
+
+
+@dataclass
+class ObjExpr:
+    class_name: str
+    fields: list  # of (name, expr)
+
+
+@dataclass
+class UnionExpr:
+    left: object
+    right: object
+
+
+@dataclass
+class IntLitExpr:
+    value: int
+
+
+@dataclass
+class ObjValExpr:
+    class_name: str
+    fields: list
+
+
+def _reference_expr(toks, i, values, refs, fail):
+    from coinfer.term_core import _expected, _kind
+
+    sep = "->" if values else ":"
+    make = ObjValExpr if values else ObjExpr
+    stack = []
+    parts = []
+    while True:
+        t = toks[i]
+        if t == "obj":
+            if toks[i + 1] != "(":
+                _expected(fail, toks, i + 1, "'('")
+            cls = toks[i + 2]
+            if _kind(cls) != "IDENT":
+                _expected(fail, toks, i + 2, "class name")
+            if toks[i + 3] != ",":
+                _expected(fail, toks, i + 3, "','")
+            if toks[i + 4] != "[":
+                _expected(fail, toks, i + 4, "'['")
+            f = toks[i + 5]
+            if f == "]":
+                if toks[i + 6] != ")":
+                    _expected(fail, toks, i + 6, "')'")
+                i += 7
+                atom = make(cls, [])
+            else:
+                if _kind(f) != "IDENT":
+                    _expected(fail, toks, i + 5, "field name")
+                if toks[i + 6] != sep:
+                    _expected(fail, toks, i + 6, "'%s'" % sep)
+                stack.append(["[", parts, cls, [], {f}, f])
+                parts = []
+                i += 7
+                continue
+        elif t[:1].isupper() and t[0].isalpha():
+            refs.append(t)
+            i += 1
+            atom = RefExpr(t)
+        elif t == "(":
+            stack.append(["(", parts])
+            parts = []
+            i += 1
+            continue
+        elif t == "int":
+            if values:
+                fail(i, "'int' is a type, not a value")
+            i += 1
+            atom = IntExpr()
+        elif _kind(t) == "INT":
+            if not values:
+                fail(i, "integer literals only appear in value terms")
+            i += 1
+            atom = IntLitExpr(int(t))
+        elif _kind(t) == "IDENT":
+            fail(i, "unexpected identifier %r" % t)
+        else:
+            _expected(fail, toks, i, "a term")
+        while True:
+            if toks[i] == "\\/" and not values:
+                parts.append(atom)
+                i += 1
+                break
+            while parts:
+                atom = UnionExpr(parts.pop(), atom)
+            if not stack:
+                return atom, i
+            frame = stack.pop()
+            parts = frame[1]
+            if frame[0] == "(":
+                if toks[i] != ")":
+                    _expected(fail, toks, i, "')'")
+                i += 1
+                continue
+            fields, seen = frame[3], frame[4]
+            fields.append((frame[5], atom))
+            if toks[i] == ",":
+                f = toks[i + 1]
+                if _kind(f) != "IDENT":
+                    _expected(fail, toks, i + 1, "field name")
+                if f in seen:
+                    fail(i + 1, "duplicate field %s" % f)
+                seen.add(f)
+                if toks[i + 2] != sep:
+                    _expected(fail, toks, i + 2, "'%s'" % sep)
+                frame[5] = f
+                stack.append(frame)
+                parts = []
+                i += 3
+                break
+            if toks[i] != "]":
+                _expected(fail, toks, i, "']'")
+            if toks[i + 1] != ")":
+                _expected(fail, toks, i + 1, "')'")
+            i += 2
+            atom = make(frame[2], fields)
+
+
+def _reference_system(src, values):
+    """(bindings name -> expression, root) of equation-system text."""
+    from functools import partial
+
+    from coinfer.term_core import _TYPE_TOKENS, TermError, _expected, _fail, _kind, scan
+
+    toks = scan(src, _TYPE_TOKENS)
+    fail = partial(_fail, src, toks)
+    bindings, refs, i = {}, [], 0
+    while toks[i] != "root":
+        name = toks[i]
+        if _kind(name) != "VAR":
+            fail(i, "expected a declaration 'VAR = ...' or 'root VAR'")
+        if name in bindings:
+            fail(i, "duplicate binding for %s" % name)
+        if toks[i + 1] != "=":
+            _expected(fail, toks, i + 1, "'='")
+        refs.append([])
+        bindings[name], i = _reference_expr(toks, i + 2, values, refs[-1], fail)
+        if toks[i] != ";":
+            _expected(fail, toks, i, "';'")
+        i += 1
+    root = toks[i + 1]
+    if _kind(root) != "VAR":
+        _expected(fail, toks, i + 1, "root variable name")
+    end = i + 3 if toks[i + 2] == ";" else i + 2
+    if toks[end]:
+        _expected(fail, toks, end, "end of input")
+    for names in refs:
+        for name in reversed(names):
+            if name not in bindings:
+                raise TermError("unbound variable %s" % name)
+    if root not in bindings:
+        fail(i + 1, "unbound root variable %s" % root)
+    return bindings, root
+
+
+def _reference_graph(bindings, values):
+    """name -> node of expression bindings: one node per bound expression
+    (aliases share it), made in binding order, then the inner expressions
+    in a last-in-first-out walk."""
+    from coinfer.term_core import TermError
+
+    reps = {}
+    for name in bindings:
+        seen = [name]
+        expr = bindings[name]
+        while isinstance(expr, RefExpr):
+            if expr.name in seen:
+                raise TermError(
+                    "variable cycle %s has no unique solution" % " = ".join(seen + [expr.name]))
+            seen.append(expr.name)
+            expr = bindings[expr.name]
+        for alias in seen:
+            reps[alias] = expr
+
+    def make_node(expr):
+        if isinstance(expr, (IntExpr, ObjExpr)):
+            if values:
+                raise TermError("type expression in a value system")
+            return IntType() if isinstance(expr, IntExpr) else ObjType(expr.class_name)
+        if isinstance(expr, UnionExpr):
+            if values:
+                raise TermError("union is not a value constructor")
+            return UnionType()
+        if not values:
+            raise TermError("value expression in a type system")
+        if isinstance(expr, IntLitExpr):
+            return IntValue(expr.value)
+        return ObjValue(expr.class_name)
+
+    by_expr, named = {}, {}
+    for name, expr in reps.items():
+        if id(expr) not in by_expr:
+            by_expr[id(expr)] = (make_node(expr), expr)
+        named[name] = by_expr[id(expr)][0]
+    pending = list(by_expr.values())
+
+    def subnode(expr):
+        if isinstance(expr, RefExpr):
+            return named[expr.name]
+        node = make_node(expr)
+        pending.append((node, expr))
+        return node
+
+    while pending:
+        node, expr = pending.pop()
+        if isinstance(expr, UnionExpr):
+            node.left = subnode(expr.left)
+            node.right = subnode(expr.right)
+        elif isinstance(expr, (ObjExpr, ObjValExpr)):
+            node.fields = dict(sorted((f, subnode(sub)) for f, sub in expr.fields))
+    return named
+
+
+def _reference_from_json(data, values):
+    from coinfer.term_core import TermError
+
+    kind = data["kind"]
+    if kind == "int":
+        return IntExpr()
+    if kind == "ref":
+        return RefExpr(data["name"])
+    if kind == "union":
+        return UnionExpr(_reference_from_json(data["left"], values),
+                         _reference_from_json(data["right"], values))
+    if kind in ("obj", "objval"):
+        fields = [(f, _reference_from_json(e, values)) for f, e in data["fields"].items()]
+        return (ObjExpr if kind == "obj" else ObjValExpr)(data["class"], fields)
+    if kind == "intval":
+        return IntLitExpr(data["value"])
+    raise TermError("unknown term kind %r" % kind)
+
+
+def _reference_to_json(expr):
+    if isinstance(expr, IntExpr):
+        return {"kind": "int"}
+    if isinstance(expr, RefExpr):
+        return {"kind": "ref", "name": expr.name}
+    if isinstance(expr, UnionExpr):
+        return {"kind": "union", "left": _reference_to_json(expr.left),
+                "right": _reference_to_json(expr.right)}
+    if isinstance(expr, IntLitExpr):
+        return {"kind": "intval", "value": expr.value}
+    return {"kind": "objval" if isinstance(expr, ObjValExpr) else "obj",
+            "class": expr.class_name,
+            "fields": {f: _reference_to_json(e) for f, e in expr.fields}}
+
+
+def reference_reader(text, values=False):
+    """The root node of a type (or value) read from equation-system text,
+    or from its JSON form when the text starts with "{", by the old
+    two-pass reader."""
+    if text.lstrip().startswith("{"):
+        data = json.loads(text)
+        bindings = {name: _reference_from_json(e, values)
+                    for name, e in data["bindings"].items()}
+        root = data["root"]
+    else:
+        bindings, root = _reference_system(text, values)
+    return _reference_graph(bindings, values)[root]
+
+
+def reference_term_to_json(t):
+    """term_to_json as it was: print the term, read the text back into
+    expressions, and write those."""
+    from coinfer.term_core import ValueTerm, _format_term
+
+    values = isinstance(t, ValueTerm)
+    bindings, root = _reference_system(_format_term(t, values), values)
+    return json.dumps({"root": root,
+                       "bindings": {name: _reference_to_json(e) for name, e in bindings.items()}},
+                      indent=2)

@@ -175,6 +175,36 @@ def test_parse_error_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
+@pytest.mark.parametrize("text,message", [
+    ('{"bindings": {"T0": {"kind": "int"}}}', '"root"'),
+    ('{"root": "T0", "bindings": {"T0": {"kind": "ref", "name": "T1"}}}',
+     "unbound variable T1"),
+    ('{"root": "T0", "bindings": {"T0": {"kind": "obj", "class": "a"}}}', '"fields"'),
+    ('{"root": "T0", "bindings": {"T0": {"kind": "union", "left": {"kind": "int"},'
+     ' "right": 5}}}', "not 5"),
+    ('{"root": ', "invalid JSON"),
+    ('{"root": "T0", "bindings": {"T0": {"kind": "obj", "class": 7, "fields": {}}}}',
+     '"class"'),
+    ('{"root": "T0", "bindings": {"T0": {"kind": "ref", "name": ["T0"]}}}', '"name"'),
+    ('{"root": "T0", "bindings": {"T0": {"kind": "intval", "value": "1"}}}', '"value"'),
+    ('{"root": "T0", "bindings": {"T0": {"kind": "set"}}}', "unknown term kind 'set'"),
+    ('{"root": "T0", "bindings": {"T0": {"kind": "intval", "value": 1}}}',
+     "value expression in a type system"),
+    ('{"root": "T0", "bindings": {"T0": {"kind": "ref", "name": "T0"}}}',
+     "variable cycle T0 = T0"),
+    ('{"root": "T0", "bindings": [{"kind": "int"}]}', '"bindings"'),
+], ids=["no_root", "unbound_ref", "obj_without_fields", "union_side_not_object",
+        "invalid_json", "class_not_string", "name_not_string", "intval_not_int",
+        "unknown_kind", "value_in_type", "alias_cycle", "bindings_not_object"])
+def test_malformed_json_term_is_usage_error(tmp_path, capsys, text, message):
+    bad = put(tmp_path, "bad.json", text)
+    assert main(["parse", bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 def test_missing_file_is_usage_error(tmp_path, capsys):
     assert main(["parse", str(tmp_path / "nope.ty")]) == 2
     capsys.readouterr()

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 import time
 
@@ -528,6 +529,21 @@ def test_parse_query_long_prelude_parses_once(k):
     assert len(q.types) == k
     assert q.types["T%d" % (k - 2)].fields["f"] is q.types["T%d" % (k - 1)]
     assert elapsed < 1.0, "a %d-equation prelude took %.2fs" % (k, elapsed)
+
+
+@pytest.mark.parametrize("query", [
+    "_X = obj(a, [f: _Y]); _Y = int; p(_X)",
+    "_X = obj(a, [f: _Y]); _Y = int; field_acc(_X, f, R)",
+    "_P = obj(pair, [fst: _I, snd: _K \\/ _I]); _I = int; _K = obj(k, []); field_acc(_P, F, R)",
+])
+def test_parse_query_prelude_takes_underscore_names(query):
+    # a prelude binds the names the query grammar calls variables
+    plain = re.sub(r"\b_", "", query)
+    clauses = clauses_for(PAIR + "class A { f; A(x) { this.f = x; } }")
+    got, want = (solve(parse_query(q).atom, clauses, SolverConfig()) for q in (query, plain))
+    assert [format_answer(a) for a in got.answers] == [format_answer(a) for a in want.answers]
+    assert got.complete == want.complete
+    assert "field_acc" not in query or got.answers
 
 
 def test_parse_query_prelude_error_names_its_equation():

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 
 import coinfer
+from coinfer.interpretation import sample_values
 from coinfer.term_core import (
     IntType,
     IntValue,
@@ -13,6 +15,8 @@ from coinfer.term_core import (
     ParseError,
     TermError,
     UnionType,
+    _TYPE_TOKENS,
+    _named_nodes,
     canonicalize,
     equal,
     parse_type,
@@ -21,6 +25,7 @@ from coinfer.term_core import (
     print_value,
     resolve,
     resolve_value,
+    scan,
     subterm_closure,
     term_to_json,
     type_from_json,
@@ -31,11 +36,19 @@ from coinfer.term_core import (
 )
 
 from conftest import (
+    _FAMILY_DECLS,
+    chain,
+    fan,
     inflate,
+    number_types,
     random_acyclic_type,
+    random_connected_type,
     random_type,
     random_value,
+    reference_reader,
+    reference_term_to_json,
     seeded,
+    spine,
     trees_equal_oracle,
 )
 
@@ -246,6 +259,16 @@ def test_subterm_closure_order_replays_seeded_inflate():
     assert outs[0] and outs[0] == outs[1]
 
 
+def test_cli_import_leaves_dataclasses_out():
+    # dataclasses and what it imports (inspect, ast, dis) cost about 10 ms
+    # of every coinfer start
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(coinfer.__file__)))
+    out = subprocess.run([sys.executable, "-c", "import sys, coinfer.cli;"
+                          " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_union_alternatives_left_first_each_once():
     t = type_from_source("U = (A \\/ int) \\/ (B \\/ A \\/ U); A = obj(a, []);"
                          " B = B \\/ B; root U")
@@ -435,3 +458,192 @@ def test_large_flat_system_parses():
     lines.append("root X2999")
     t = type_from_source("\n".join(lines))
     assert len(subterm_closure(t)) == 3000
+
+
+# --- the one-pass reader against the old two-pass one ---------------------
+
+def _scrambled_source(t, rng, values):
+    """Text for t's graph written otherwise than print_type does: the
+    nodes print_type names and a random share of the others get bindings
+    under random names, in random order, with alias bindings among them
+    and references through the aliases; fields come in random order and
+    some atoms in parentheses."""
+    sep = " -> " if values else ": "
+    nodes = subterm_closure(t)
+    must = _named_nodes(t)[0]
+    named = [n for n in nodes if n.uid in must or rng.random() < 0.3]
+    labels = rng.sample(range(10 * len(nodes) + 10), 3 * len(nodes))
+    names = {n.uid: ["N%d" % labels.pop()] for n in named}
+    bindings = []
+    for n in named:
+        for _ in range(rng.choice((0, 0, 1, 2))):  # an alias of the node or of an alias
+            alias = "A%d" % labels.pop()
+            bindings.append("%s = %s;" % (alias, rng.choice(names[n.uid])))
+            names[n.uid].append(alias)
+
+    def write(n, top=False):
+        if not top and n.uid in names:
+            text = rng.choice(names[n.uid])
+        elif isinstance(n, IntType):
+            text = "int"
+        elif isinstance(n, IntValue):
+            text = str(n.value)
+        elif isinstance(n, (ObjType, ObjValue)):
+            fields = list(n.fields)
+            rng.shuffle(fields)
+            text = "obj(%s, [%s])" % (n.class_name, ", ".join(
+                f + sep + write(n.fields[f]) for f in fields))
+        else:
+            left = write(n.left)
+            if isinstance(n.left, UnionType) and n.left.uid not in names:
+                left = "(%s)" % left
+            return left + " \\/ " + write(n.right)
+        return "(%s)" % text if rng.random() < 0.1 else text
+
+    bindings += ["%s = %s;" % (names[n.uid][0], write(n, top=True)) for n in named]
+    rng.shuffle(bindings)
+    return "\n".join(bindings + ["root %s" % rng.choice(names[t.uid])])
+
+
+def _mutated(src, rng):
+    """src with one or two edits: a token dropped, two swapped, one
+    duplicated, or a name replaced by another name or an unbound one."""
+    toks = scan(src, _TYPE_TOKENS)[:-1]
+    names = sorted({t for t in toks if t[:1].isupper()}) + ["Z0", "Z1"]
+    for _ in range(rng.choice((1, 1, 2))):
+        k, j = rng.randrange(len(toks)), rng.randrange(len(toks))
+        how = rng.choice(("drop", "swap", "dup", "name", "name"))
+        if how == "drop":
+            del toks[k]
+        elif how == "swap":
+            toks[k], toks[j] = toks[j], toks[k]
+        elif how == "dup":
+            toks.insert(k, toks[j])
+        else:
+            k = rng.choice([i for i, t in enumerate(toks) if t[:1].isupper()] or [k])
+            toks[k] = rng.choice(names)
+        if len(toks) < 2:
+            break
+    return " ".join(toks)
+
+
+def _json_mutated(text, rng):
+    """The JSON form with one or two expressions broken: a key dropped, a
+    kind changed, a name unbound, a constructor of the other sort put in,
+    or a part replaced by a number."""
+    data = json.loads(text)
+    for _ in range(rng.choice((1, 1, 2))):
+        exprs = []
+        todo = list(data["bindings"].values())
+        while todo:
+            e = todo.pop()
+            if type(e) is dict:
+                exprs.append(e)
+                fields = e.get("fields")
+                todo += [e.get("left"), e.get("right")]
+                todo += fields.values() if type(fields) is dict else ()
+        e = rng.choice(exprs)
+        how = rng.choice(("drop", "kind", "name", "sort", "sort", "number", "root"))
+        if how == "drop" and e:
+            del e[rng.choice(sorted(e))]
+        elif how == "kind":
+            e["kind"] = rng.choice(("int", "obj", "union", "intval", "objval", "ref", "bool"))
+        elif how in ("name", "sort"):
+            e.clear()
+            e.update(rng.choice([
+                {"kind": "ref", "name": rng.choice(sorted(data["bindings"]) + ["T99"])},
+                {"kind": "int"}, {"kind": "intval", "value": 1},
+                {"kind": "objval", "class": "a", "fields": {}},
+                {"kind": "union", "left": {"kind": "int"}, "right": {"kind": "int"}}]))
+        elif how == "number":
+            for k in ("left", "right", "fields", "value", "class"):
+                if k in e:
+                    e[k] = 5
+                    break
+        elif "root" in data:
+            del data["root"]
+    return json.dumps(data)
+
+
+def _read(reader, text, values):
+    """What a reader makes of text: its graph, or its error."""
+    try:
+        return reader(text, values), None
+    except TermError as exc:
+        return None, (type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None))
+
+
+def _new_reader(text, values):
+    if text.startswith("{"):
+        return (value_from_json if values else type_from_json)(text)
+    return (value_from_source if values else type_from_source)(text)
+
+
+def _assert_same_graph(new, old, values, seed):
+    printer = print_value if values else print_type
+    assert printer(new) == printer(old)
+    a, b = subterm_closure(new), subterm_closure(old)
+    assert [type(n) for n in a] == [type(n) for n in b]
+    assert (sorted(range(len(a)), key=lambda k: a[k].uid)
+            == sorted(range(len(b)), key=lambda k: b[k].uid))
+    if not values:
+        samples = []
+        for t in (new, old):
+            try:
+                samples.append([print_value(v) for v in sample_values(t, 3, seed)])
+            except ValueError as exc:
+                samples.append(str(exc))
+        assert samples[0] == samples[1]
+
+
+# inputs with several faults, where the order of the checks shows
+SEVERAL_FAULTS = [
+    ("X = obj(a, [f: Q, g: R]); root X", False),
+    ("X = Y; Y = X; Z = Q \\/ R; root W", False),
+    ("X = Y; Y = X; root W", False),
+    (json.dumps({"root": "A", "bindings": {
+        "A": {"kind": "objval", "class": "a", "fields": {"f": {"kind": "int"}}},
+        "B": {"kind": "union", "left": {"kind": "intval", "value": 1},
+              "right": {"kind": "ref", "name": "A"}}}}), True),
+]
+
+
+def test_reader_agrees_with_reference():
+    rng = seeded(14)
+    terms = [(t, False) for t in number_types().values()]
+    terms += [(chain(40), False), (spine(40), False), (fan(12), False)]
+    for size in range(1, 13):
+        terms += [(random_type(rng, size), False), (random_connected_type(rng, size), False),
+                  (random_acyclic_type(rng, size), False), (random_value(rng, size), True)]
+    terms += [(inflate(t, rng), values) for t, values in terms[:30]]
+    sources = [(_FAMILY_DECLS % name, False) for name in ("Zer", "Nat", "Evn", "Bot")]
+    for t, values in terms:
+        sources.append(((print_value if values else print_type)(t), values))
+        sources += [(_scrambled_source(t, rng, values), values) for _ in range(3)]
+    broken = [(_mutated(src, rng), values) for src, values in rng.sample(sources, 250)]
+    broken += SEVERAL_FAULTS
+    read = 0
+    for k, (src, values) in enumerate(sources + broken):
+        new, new_error = _read(_new_reader, src, values)
+        old, old_error = _read(reference_reader, src, values)
+        assert new_error == old_error, src
+        if new is None:
+            continue
+        read += 1
+        _assert_same_graph(new, old, values, k)
+        text = term_to_json(new)
+        assert text == reference_term_to_json(old)
+        _assert_same_graph(_read(_new_reader, text, values)[0],
+                           reference_reader(text, values), values, k)
+        bad = _json_mutated(text, rng)
+        new, new_error = _read(_new_reader, bad, values)
+        try:
+            old, old_error = _read(reference_reader, bad, values)
+        except (KeyError, TypeError, AttributeError):
+            old = old_error = None  # the old reader failed without a TermError
+            assert new_error is not None, bad
+        if old_error is not None or old is not None:
+            assert new_error == old_error, bad
+        if new is not None:
+            _assert_same_graph(new, old, values, k)
+    assert read > len(sources)  # some mutated sources still read
