@@ -124,8 +124,8 @@ def cmd_member(args):
 
 def cmd_empty(args):
     t = _load_type(args.file)
-    inhabited = not_empty(t)
-    wit = witness(t) if (inhabited and args.witness) else None
+    wit = witness(t) if args.witness else None
+    inhabited = wit is not None if args.witness else not_empty(t)
     if args.format == "json":
         data = {"empty": not inhabited}
         if wit is not None:

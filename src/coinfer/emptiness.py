@@ -1,241 +1,165 @@
-"""Linear-time emptiness of regular types, with witness extraction.
+"""Linear-time emptiness of regular types, with witness construction.
 
-A type is inhabited iff it admits a derivation of the "not empty"
-judgment in which no infinite (cyclic) branch consists of union steps
-alone: every cycle must pass through an object node.  The checker walks
-the term graph once, keeping the current path on an explicit stack that
-answers "is the cycle back to this node contractive?" in O(1).
+A node is inhabited when it is an int, an object whose fields all are,
+or a union that reaches an inhabited non-union along union edges alone.
+inhabited decides every node of a closure in one pass: the emptiness
+marking of tree automata (Comon et al., TATA, ch. 1), that is Dowling
+and Gallier's counter Horn-SAT, with union-only cycles condensed.  A
+depth-first walk notes each edge from a union back to a union on its
+path; without one, every node is inhabited.  Otherwise union-only cycles
+are condensed into strongly connected components, and deaths spread by
+counters along reversed edges from the components without exits: an
+object dies with its first field, a component with its last exit.
 
-True results whose justification is fully contained in the subtree below
-the node are cached for the rest of the call; provisional trues (those
-leaning on a cycle to a node still under exploration) and all false
-results are recomputed, since they may depend on the path.
-
-inhabited answers the same question for every node of a closure in one
-pass, for callers that ask about many nodes of one type.
+A witness takes one value per node, so cycles close by sharing, and a
+fresh 0 at every int.  A union takes the side of lower rank, the left
+one on a tie; a node's rank is its distance along union edges to an
+inhabited non-union, so a witness never enters a union-only cycle.
 """
 
-from bisect import bisect_left
-
-from coinfer.term_core import (
-    IntType,
-    IntValue,
-    ObjType,
-    ObjValue,
-    UnionType,
-    _scc_order,
-    subterm_closure,
-)
-
-_INF = float("inf")
+from coinfer.term_core import IntType, IntValue, ObjType, ObjValue, UnionType, _scc_order
 
 
-class PathStack:
-    """Path of in-progress nodes with O(1) contractive-cycle queries.
-
-    Tracks, alongside the entries, the positions of object entries in
-    ascending order; a cycle back to position q is contractive iff the
-    deepest object position is at least q.  Entries live in flat lists,
-    so a push allocates no container of its own.
-    """
-
-    def __init__(self):
-        self._uids = []     # uid of the entry at each position
-        self._pos = {}      # uid -> position
-        self._objs = []     # ascending positions of object entries
-        self._vals = []     # pending object values, parallel to _objs
-
-    def __len__(self):
-        return len(self._uids)
-
-    def push(self, node, pending=None):
-        pos = len(self._uids)
-        self._uids.append(node.uid)
-        self._pos[node.uid] = pos
-        if isinstance(node, (ObjType, ObjValue)):
-            self._objs.append(pos)
-            self._vals.append(pending)
-        return pos
-
-    def pop(self):
-        del self._pos[self._uids.pop()]
-        if self._objs and self._objs[-1] == len(self._uids):
-            self._objs.pop()
-            self._vals.pop()
-
-    def position_of(self, uid):
-        return self._pos.get(uid)
-
-    def is_contractive(self, uid):
-        """Does the cycle back to uid's entry pass through an object?"""
-        return bool(self._objs) and self._objs[-1] >= self._pos[uid]
-
-    def knot_value(self, uid):
-        """Pending value at the first object entry at or after uid's entry.
-
-        Unions pass witness values through unchanged, so this is the value
-        the cycle target will end up denoting.
-        """
-        return self._vals[bisect_left(self._objs, self._pos[uid])]
-
-
-def _search(root, build_value):
-    """(verdict, witness or None, visit count) for root.
-
-    Open nodes sit on an explicit stack kept as parallel flat lists
-    (node, path position, sorted field names, next child, lowlink,
-    pending value), so that a deep walk leaves few containers for the
-    cyclic garbage collector to rescan.  A child's result (ok, lowlink,
-    value) is folded into the top frame: a union answers with its first
-    inhabited branch, an object fails on its first empty field and
-    otherwise takes the least lowlink.  The lowlink is the path position
-    of the deepest cycle target a true result leans on, or infinity when
-    it leans on none; a true result whose lowlink is not above its own
-    position is context-free and memoized.
-    """
-    path = PathStack()
-    memo = {}  # uid -> witness value (or None); only context-free trues
+def _inhabited(t):
+    """(uid -> node for the inhabited nodes of t's closure, number of
+    nodes the walk took up along edges)."""
+    nodes = {}
+    on_path = set()  # the unions whose subtrees the walk is in
+    cyclic = False
+    todo = [t]
     visits = 0
-    nodes, positions, names, nexts, lows, pendings = [], [], [], [], [], []
-    node = root
-    while True:
+    while todo:
+        n = todo.pop()
+        if type(n) is int:  # the walk leaves the union with this uid
+            on_path.discard(n)
+            continue
         visits += 1
-        uid = node.uid
-        at = path.position_of(uid)
-        if uid in memo:
-            ok, low, val = True, _INF, memo[uid]
-        elif at is not None:
-            if path.is_contractive(uid):
-                ok, low, val = True, at, path.knot_value(uid) if build_value else None
-            else:
-                ok, low, val = False, _INF, None
-        elif isinstance(node, IntType):
-            ok, low, val = True, _INF, IntValue(0) if build_value else None
+        if n.uid in nodes:
+            continue
+        nodes[n.uid] = n
+        if type(n) is UnionType:
+            on_path.add(n.uid)
+            left, right = n.left, n.right
+            if (type(left) is UnionType and left.uid in on_path
+                    or type(right) is UnionType and right.uid in on_path):
+                cyclic = True
+            todo += (n.uid, right, left)
+        elif type(n) is ObjType:
+            todo += n.fields.values()
+    if not cyclic:
+        return nodes, visits
+
+    union_kids = {u: [c.uid for c in (n.left, n.right) if type(c) is UnionType]
+                  for u, n in nodes.items() if type(n) is UnionType}
+    rep = {u: -1 - k  # union uid -> the key of its component; keys are negative
+           for k, scc in enumerate(_scc_order(list(union_kids), union_kids)) for u in scc}
+    need = {}     # key -> deaths that kill it: 1 for an object, the exits of a component
+    waiting = {}  # key -> the keys told when it dies, once per edge
+    for n in nodes.values():
+        if type(n) is ObjType:
+            key, exits = n.uid, n.fields.values()
+            need[key] = 1
+        elif type(n) is UnionType:
+            key = rep[n.uid]
+            exits = [c for c in (n.left, n.right) if rep.get(c.uid) != key]
+            need[key] = need.get(key, 0) + len(exits)
         else:
-            pending = None
-            if isinstance(node, UnionType):
-                keys = None
-                first = node.left
-            else:
-                if build_value:
-                    pending = ObjValue(node.class_name)
-                    pending.fields = {}
-                # a tuple of strings drops out of the collector's view
-                keys = tuple(sorted(node.fields))
-                first = node.fields[keys[0]] if keys else None
-            pos = path.push(node, pending)
-            if first is not None:
-                nodes.append(node)
-                positions.append(pos)
-                names.append(keys)
-                nexts.append(0)
-                lows.append(_INF)
-                pendings.append(pending)
-                node = first
-                continue
-            path.pop()
-            memo[uid] = pending
-            ok, low, val = True, _INF, pending
-        # fold the result into the open frames until one has a child to visit
-        while nodes:
-            top = nodes[-1]
-            keys = names[-1]
-            if keys is None:  # union: the left branch failed, try the right
-                if not ok and nexts[-1] == 0:
-                    nexts[-1] = 1
-                    node = top.right
-                    break
-            elif not ok:
-                low, val = _INF, None
-            else:
-                if low < lows[-1]:
-                    lows[-1] = low
-                pending = pendings[-1]
-                i = nexts[-1]
-                if pending is not None:
-                    pending.fields[keys[i]] = val
-                i += 1
-                if i < len(keys):
-                    nexts[-1] = i
-                    node = top.fields[keys[i]]
-                    break
-                low, val = lows[-1], pending
-            nodes.pop()
-            names.pop()
-            nexts.pop()
-            lows.pop()
-            pendings.pop()
-            path.pop()
-            pos = positions.pop()
-            if ok and low >= pos:
-                memo[top.uid] = val
-                low = _INF
-        else:
-            return ok, val, visits
+            continue
+        for c in exits:
+            waiting.setdefault(rep.get(c.uid, c.uid), []).append(key)
+    dying = [key for key, k in need.items() if k == 0]
+    dead = set(dying)
+    while dying:
+        for key in waiting.get(dying.pop(), ()):
+            need[key] -= 1
+            if need[key] == 0:
+                dead.add(key)
+                dying.append(key)
+    return {u: n for u, n in nodes.items() if rep.get(u, u) not in dead}, visits
+
+
+def inhabited(t):
+    """uid -> node for the inhabited nodes of t's closure."""
+    return _inhabited(t)[0]
 
 
 def not_empty(t):
     """True iff the type is inhabited by at least one value."""
-    ok, _, _ = _search(t, build_value=False)
-    return ok
+    return t.uid in _inhabited(t)[0]
 
 
 def not_empty_with_stats(t):
-    """(verdict, node visit count) for measuring traversal cost."""
-    ok, _, visits = _search(t, build_value=False)
-    return ok, visits
+    """(verdict, number of nodes the pass's walk took up along edges)."""
+    live, visits = _inhabited(t)
+    return t.uid in live, visits
+
+
+def _ranks(live):
+    """uid -> rank for the nodes of live, breadth first from the
+    non-unions along reversed union edges."""
+    parents = {}
+    for u, n in live.items():
+        if type(n) is UnionType:
+            for c in (n.left, n.right):
+                parents.setdefault(c.uid, []).append(u)
+    rank = {u: 0 for u, n in live.items() if type(n) is not UnionType}
+    frontier = list(rank)
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for p in parents.get(c, ()):
+                if p not in rank:
+                    rank[p] = rank[c] + 1
+                    nxt.append(p)
+        frontier = nxt
+    return rank
+
+
+def _witness(node, live, memo, rank):
+    """node's witness value.  memo (object or union uid -> value) and rank
+    (filled on first need) carry over between calls on one live set.  An
+    object value is made when first reached and filled in from a flat
+    list, so a deep value needs no deep stack."""
+    out = {}
+    todo = [(out, [(None, node)])]  # (the fields to fill in, (name, type) pairs)
+    while todo:
+        fields, pairs = todo.pop()
+        for f, n in pairs:
+            chain = []  # the unions passed on the way to a non-union
+            while type(n) is UnionType and n.uid not in memo:
+                chain.append(n.uid)
+                left, right = n.left, n.right
+                # the cases that settle the ranks without computing them
+                if (right.uid not in live or left is right
+                        or type(left) is not UnionType and left.uid in live):
+                    n = left
+                elif left.uid not in live:
+                    n = right
+                else:
+                    if not rank:
+                        rank.update(_ranks(live))
+                    n = left if rank[left.uid] <= rank[right.uid] else right
+            if type(n) is IntType:
+                v = IntValue(0)
+            elif n.uid in memo:
+                v = memo[n.uid]
+            else:
+                v = memo[n.uid] = ObjValue(n.class_name)
+                todo.append((v.fields, sorted(n.fields.items())))
+            for u in chain:
+                memo[u] = v
+            fields[f] = v
+    return out[None]
+
+
+def witnesses(live):
+    """A function from a node of live (as inhabited returns it) to its
+    witness.  Values are made on demand and shared between calls."""
+    memo, rank = {}, {}
+    return lambda node: _witness(node, live, memo, rank)
 
 
 def witness(t):
     """An inhabitant of t (possibly cyclic), or None if t is empty."""
-    ok, val, _ = _search(t, build_value=True)
-    return val if ok else None
-
-
-def inhabited(t):
-    """The uids of the inhabited nodes of t's closure, in one linear pass.
-
-    This is the greatest set where int is inhabited, an object is when
-    all of its fields are, and a union is when it reaches an inhabited
-    non-union along union edges alone.  The union-only edges are
-    condensed into strongly connected components; a component lives
-    while one of its exits (edges leaving it) does, so starting from
-    everything alive, deaths propagate along reversed edges: an object
-    dies with any field, a component when its count of live exits hits
-    zero.  A component without exits (``B = B \\/ B``) is dead at once.
-    """
-    nodes = {n.uid: n for n in subterm_closure(t)}
-    unions = [n.uid for n in nodes.values() if isinstance(n, UnionType)]
-    union_kids = {u: [c.uid for c in (nodes[u].left, nodes[u].right)
-                      if isinstance(c, UnionType)] for u in unions}
-    rep = {}  # uid -> its component's key; components get negative keys
-    for k, scc in enumerate(_scc_order(unions, union_kids)):
-        for u in scc:
-            rep[u] = -1 - k
-    waiting = {}  # key -> dependents to notify when it dies
-    live_exits = {}
-    for u in unions:
-        key = rep[u]
-        live_exits.setdefault(key, 0)
-        for c in (nodes[u].left, nodes[u].right):
-            target = rep.get(c.uid, c.uid)
-            if target != key:
-                live_exits[key] += 1
-                waiting.setdefault(target, []).append(key)
-    for n in nodes.values():
-        if isinstance(n, ObjType):
-            for c in n.fields.values():
-                waiting.setdefault(rep.get(c.uid, c.uid), []).append(n.uid)
-    dying = [key for key, count in live_exits.items() if count == 0]
-    dead = set(dying)
-    while dying:
-        for p in waiting.get(dying.pop(), ()):
-            if p in dead:
-                continue
-            if p < 0:
-                live_exits[p] -= 1
-                if live_exits[p]:
-                    continue
-            dead.add(p)
-            dying.append(p)
-    return {u for u in nodes if rep.get(u, u) not in dead}
+    live = _inhabited(t)[0]
+    return _witness(t, live, {}, {}) if t.uid in live else None

@@ -13,14 +13,15 @@ rule, so nothing tracks paths, and the cost is linear in the pair edges.
 
 sample_values draws members of a type: the canonical witness first, one
 deliberately cyclic value when the type admits any, then seeded random
-walks over the inhabited part of the type graph.  It stops after the
-witness when that part holds no choice the walks could make.
+walks over the inhabited part of the type graph.  A node that reaches
+no choice the walks could make takes its witness at no cost; when the
+root is such a node, sampling stops after the witness.
 """
 
 import random
 from collections import deque
 
-from coinfer.emptiness import inhabited, witness
+from coinfer.emptiness import inhabited, witnesses
 from coinfer.term_core import (
     BudgetExceeded,
     IntType,
@@ -110,78 +111,74 @@ def member(v, t, limit=DEFAULT_LIMIT):
 # ---------------------------------------------------------------------------
 # sampling
 
-def _viable_children(node, live):
-    if isinstance(node, UnionType):
-        return [c for c in (node.left, node.right) if c.uid in live]
-    if isinstance(node, ObjType):
-        return [node.fields[f] for f in sorted(node.fields)]
-    return []
-
-
 def _viable_closure(t, live):
-    """uid -> node for the nodes t reaches through viable edges."""
-    nodes = {}
+    """node -> viable children (a union's inhabited sides, an object's
+    fields in name order) for the nodes t reaches through viable edges,
+    and the set of those that reach no int and no union with two
+    inhabited sides.  The sampler builds objects with exactly the type's
+    fields, so all it can build for such a node is the node's witness."""
+    kids, parents, choices = {}, {}, []
     todo = [t]
     while todo:
         n = todo.pop()
-        if n.uid not in nodes:
-            nodes[n.uid] = n
-            todo.extend(_viable_children(n, live))
-    return nodes
+        if n in kids:
+            continue
+        if type(n) is UnionType:
+            ks = [c for c in (n.left, n.right) if c.uid in live]
+            if len(ks) == 2:
+                choices.append(n)
+        elif type(n) is ObjType:
+            ks = [n.fields[f] for f in sorted(n.fields)]
+        else:
+            ks = []
+            choices.append(n)
+        kids[n] = ks
+        for c in ks:
+            parents.setdefault(c, []).append(n)
+        todo.extend(ks)
+    reach = set(choices)
+    while choices:
+        for p in parents.get(choices.pop(), ()):
+            if p not in reach:
+                reach.add(p)
+                choices.append(p)
+    return kids, kids.keys() - reach
 
 
-def _one_value(nodes, live):
-    """True when the sampler can build only one value from this closure.
-
-    The sampler builds objects with exactly the type's fields and picks
-    union sides among the inhabited ones.  Without an int and without a
-    union with two inhabited sides there is no choice left, so every
-    value it builds unfolds the same graph and is bisimilar to the
-    witness.  This speaks of the sampler's values only: members may carry
-    extra fields, which the sampler never adds.
-    """
-    return not any(isinstance(n, IntType)
-                   or (isinstance(n, UnionType)
-                       and n.left.uid in live and n.right.uid in live)
-                   for n in nodes.values())
-
-
-def _find_obj_cycle(t, nodes, live):
+def _find_obj_cycle(t, kids):
     """A reachable object node that can reach itself through inhabited
     nodes; returns the forced route t -> ... -> O -> ... -> O, or None.
-    O is the least-uid such node of t's viable closure `nodes`, found
-    with one SCC pass."""
-    children = {u: [c.uid for c in _viable_children(n, live)]
-                for u, n in nodes.items()}
-    on_cycle = [u for scc in _scc_order(list(children), children)
-                if len(scc) > 1 or scc[0] in children[scc[0]]
-                for u in scc if isinstance(nodes[u], ObjType)]
+    O is the least-uid such node of t's viable closure, found with one
+    SCC pass."""
+    on_cycle = [n for scc in _scc_order(list(kids), kids)
+                if len(scc) > 1 or scc[0] in kids[scc[0]]
+                for n in scc if isinstance(n, ObjType)]
     if not on_cycle:
         return None
-    goal = min(on_cycle)
+    goal = min(on_cycle, key=lambda n: n.uid)
 
     def bfs(starts):
         parents = {}
         queue = deque(starts)
-        seen = {n.uid for n in queue}
+        seen = set(queue)
         while queue:
             n = queue.popleft()
-            if n.uid == goal:
+            if n is goal:
                 out = [n]
-                while out[-1].uid in parents:
-                    out.append(parents[out[-1].uid])
-                return list(reversed(out))
-            for c in _viable_children(n, live):
-                if c.uid not in seen:
-                    seen.add(c.uid)
-                    parents[c.uid] = n
+                while out[-1] in parents:
+                    out.append(parents[out[-1]])
+                return out[::-1]
+            for c in kids[n]:
+                if c not in seen:
+                    seen.add(c)
+                    parents[c] = n
                     queue.append(c)
         return None
 
-    return bfs([t]) + bfs(_viable_children(nodes[goal], live))
+    return bfs([t]) + bfs(kids[goal])
 
 
-def _forced_cyclic(t, nodes, live, wit):
+def _forced_cyclic(t, kids, wit):
     """A member of t whose value graph is cyclic, or None if t has none.
 
     Follows a route ending in a repeated object node; the repeat ties the
@@ -189,21 +186,12 @@ def _forced_cyclic(t, nodes, live, wit):
     are made in one forward pass and filled in one backward pass, so a
     long cycle costs no recursion.
     """
-    route = _find_obj_cycle(t, nodes, live)
+    route = _find_obj_cycle(t, kids)
     if route is None:
         return None
-    knot_uid = route[-1].uid
-    knot = None
-    vals = []  # the object value made for each route position, None for unions
-    for node in route[:-1]:
-        val = None
-        if isinstance(node, ObjType):
-            val = ObjValue(node.class_name)
-            val.fields = {}
-            if knot is None and node.uid == knot_uid:
-                knot = val
-        vals.append(val)
-    nxt_val = knot  # the value of route[i + 1]; unions pass it through
+    # the object value made for each route position, None for unions
+    vals = [ObjValue(n.class_name) if isinstance(n, ObjType) else None for n in route[:-1]]
+    nxt_val = vals[route.index(route[-1])]  # the value of route[i + 1]; unions pass it through
     for i in range(len(vals) - 1, -1, -1):
         val = vals[i]
         if val is None:
@@ -219,28 +207,29 @@ def _forced_cyclic(t, nodes, live, wit):
 WALK_BUDGET = 60
 
 
-def _random_walk(t, rng, live, wit, max_nodes):
+def _random_walk(t, rng, kids, wit, max_nodes, fixed):
     """One random member of t: union sides, integers and whether to tie a
-    knot back to an object still under construction are drawn from rng;
-    after max_nodes steps every remaining position takes its witness."""
+    knot back to an object still under construction are drawn from rng.
+    A node in `fixed` (one without choice) takes its witness at once;
+    after max_nodes steps on other nodes every remaining position does."""
     budget = max_nodes
     pending = {}  # type uid -> stack of object values under construction
     stack = []    # (object type, its value, field names still to fill)
     node = t
     while True:
-        budget -= 1
-        if budget <= 0:
+        if node not in fixed:
+            budget -= 1
+        if budget <= 0 or node in fixed:
             val = wit(node)
         elif isinstance(node, IntType):
             val = IntValue(rng.randint(-999, 999))
         elif isinstance(node, UnionType):
-            node = rng.choice(_viable_children(node, live))
+            node = rng.choice(kids[node])
             continue
         elif pending.get(node.uid) and rng.random() < 0.25:
             val = pending[node.uid][-1]
         else:
             val = ObjValue(node.class_name)
-            val.fields = {}
             pending.setdefault(node.uid, []).append(val)
             stack.append((node, val, deque(sorted(node.fields))))
             val = None
@@ -349,9 +338,9 @@ def sample_values(t, count, seed):
     """Up to `count` distinct members of t, deterministic for a seed.
 
     The canonical witness comes first, then a cyclic member when the type
-    admits one, then random walks.  When the inhabited part of t leaves
-    the sampler no choice (no int, no union with two inhabited sides), it
-    returns the witness alone, since it could build nothing else.  Raises
+    admits one, then random walks.  When t reaches no int and no union
+    with two inhabited sides, the sampler has no choice, and it returns
+    the witness alone, since it could build nothing else.  Raises
     ValueError on an empty type.  Every emitted value is re-checked with
     member.
     """
@@ -361,13 +350,7 @@ def sample_values(t, count, seed):
     if count <= 0:
         return []
     rng = random.Random(seed)
-    wit_cache = {}
-
-    def wit(node):
-        if node.uid not in wit_cache:
-            wit_cache[node.uid] = witness(node)
-        return wit_cache[node.uid]
-
+    wit = witnesses(live)
     out = []
     distinct = _Distinct()
 
@@ -379,15 +362,15 @@ def sample_values(t, count, seed):
     emit(wit(t))
     if len(out) == count:
         return out
-    nodes = _viable_closure(t, live)
-    if _one_value(nodes, live):
+    kids, fixed = _viable_closure(t, live)
+    if t in fixed:
         return out
-    emit(_forced_cyclic(t, nodes, live, wit))
+    emit(_forced_cyclic(t, kids, wit))
     # one step more than the inhabited closure lets a walk reach every
     # node of it, so deep leaves get random values too
     budget = max(WALK_BUDGET, len(live) + 1)
     attempts = 0
     while len(out) < count and attempts < 30 * count:
         attempts += 1
-        emit(_random_walk(t, rng, live, wit, budget))
+        emit(_random_walk(t, rng, kids, wit, budget, fixed))
     return out[:count]

@@ -174,7 +174,7 @@ class _Engine:
             self.variants[key] = node
             self.left_space.add(node.uid)
             if all(t.uid in self.live for t in fields.values()):
-                self.live.add(node.uid)
+                self.live[node.uid] = node
         return node
 
     def _split(self, l):

@@ -593,48 +593,38 @@ def _partition(kids, shapes):
 
 
 def _scc_order(block_ids, block_children):
-    """Tarjan over the block graph, iterative; yields SCCs bottom-up."""
-    index = {}
+    """Tarjan over the block graph, iterative; yields SCCs bottom-up.  A
+    node whose component is out has lowlink infinity, so the lowlinks a
+    node takes from the nodes it reaches need no on-stack test."""
     low = {}
-    onstack = set()
     stack = []
     sccs = []
-    counter = itertools.count()
     for start in block_ids:
-        if start in index:
+        if start in low:
             continue
-        work = [(start, iter(block_children[start]))]
-        index[start] = low[start] = next(counter)
+        work = [(start, iter(block_children[start]), len(low), len(stack))]
+        low[start] = len(low)
         stack.append(start)
-        onstack.add(start)
         while work:
-            b, it = work[-1]
-            advanced = False
+            b, it, num, pos = work[-1]
             for c in it:
-                if c not in index:
-                    index[c] = low[c] = next(counter)
+                lc = low.get(c)
+                if lc is None:
+                    work.append((c, iter(block_children[c]), len(low), len(stack)))
+                    low[c] = len(low)
                     stack.append(c)
-                    onstack.add(c)
-                    work.append((c, iter(block_children[c])))
-                    advanced = True
                     break
-                if c in onstack:
-                    low[b] = min(low[b], index[c])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[b])
-            if low[b] == index[b]:
-                scc = []
-                while True:
-                    m = stack.pop()
-                    onstack.discard(m)
-                    scc.append(m)
-                    if m == b:
-                        break
-                sccs.append(scc)
+                if lc < low[b]:
+                    low[b] = lc
+            else:
+                work.pop()
+                if low[b] == num:
+                    scc = stack[pos:]
+                    del stack[pos:]
+                    low.update(dict.fromkeys(scc, float("inf")))
+                    sccs.append(scc[::-1])
+                elif low[b] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[b]
     return sccs
 
 
@@ -939,6 +929,8 @@ def _from_json(text, values):
         data = _json.loads(text)
     except ValueError as exc:
         raise TermError("invalid JSON: %s" % exc) from None
+    except RecursionError:
+        raise TermError("invalid JSON: nesting too deep") from None
     if (type(data) is not dict or type(data.get("root")) is not str
             or type(data.get("bindings")) is not dict):
         raise TermError('a JSON term is an object with a name string "root" and '

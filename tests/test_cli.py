@@ -205,6 +205,19 @@ def test_malformed_json_term_is_usage_error(tmp_path, capsys, text, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("depth", [3000, 10_000])
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys, depth):
+    # a union whose left side nests `depth` unions deep
+    text = ('{"root": "T0", "bindings": {"T0": '
+            + '{"kind": "union", "left": ' * depth + '{"kind": "int"}'
+            + ', "right": {"kind": "int"}}' * depth + "}}")
+    bad = put(tmp_path, "deep.json", text)
+    assert main(["parse", bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid JSON: nesting too deep\n"
+
+
 def test_missing_file_is_usage_error(tmp_path, capsys):
     assert main(["parse", str(tmp_path / "nope.ty")]) == 2
     capsys.readouterr()

@@ -1,6 +1,7 @@
 import pytest
 
-from coinfer.emptiness import PathStack, not_empty, not_empty_with_stats, witness
+from coinfer.emptiness import not_empty, not_empty_with_stats, witness
+from coinfer.interpretation import member
 from coinfer.term_core import (
     IntType,
     IntValue,
@@ -11,7 +12,7 @@ from coinfer.term_core import (
     type_from_source,
 )
 
-from conftest import random_type, seeded
+from conftest import member_oracle, random_type, seeded
 
 NAT = "N = obj(zero, []) \\/ obj(succ, [pred: N]); root N"
 BOT = "B = B \\/ B; root B"
@@ -173,30 +174,33 @@ def test_witness_is_deep_when_needed():
     assert w.fields["pred"].fields["pred"].class_name == "zero"
 
 
-# --- PathStack unit behavior ------------------------------------------------
+# --- witnesses read off the inhabited set ----------------------------------
 
-def test_pathstack_contractive_query():
-    ps = PathStack()
-    u = UnionType()
-    o = ObjType("c")
-    u2 = UnionType()
-    ps.push(u)
-    ps.push(o)
-    ps.push(u2)
-    assert ps.is_contractive(u.uid)      # cycle spans the object entry
-    assert ps.is_contractive(o.uid)      # object itself on the cycle
-    assert not ps.is_contractive(u2.uid)  # union-only cycle
-    ps.pop()
-    ps.pop()
-    ps.pop()
-    assert len(ps) == 0
+def test_witness_of_a_union_cycle_takes_the_lower_rank():
+    # U and W reach int and the object only through each other; each
+    # takes its side of rank 0, never the union-only cycle
+    source = "U = W \\/ int; W = U \\/ obj(a, []); root %s"
+    u = type_from_source(source % "U")
+    w = type_from_source(source % "W")
+    assert isinstance(witness(u), IntValue) and member_oracle(witness(u), u)
+    assert witness(w).class_name == "a" and member_oracle(witness(w), w)
 
 
-def test_pathstack_positions_strictly_increase():
-    ps = PathStack()
-    nodes = [UnionType(), ObjType("a"), UnionType()]
-    positions = [ps.push(n) for n in nodes]
-    assert positions == [0, 1, 2]
+def test_witness_of_large_ring_and_union_tower():
+    n = 100_000
+    nodes = [ObjType("a") for _ in range(n)]
+    for i, node in enumerate(nodes):
+        node.fields = {"f": nodes[i + 1] if i + 1 < n else nodes[0]}
+    w = witness(nodes[0])
+    assert member_oracle(w, nodes[0])
+    for n in (500, 100_000):
+        tower = IntType()
+        for _ in range(n):
+            tower = UnionType(tower, tower)
+        w = witness(tower)
+        assert isinstance(w, IntValue) and member(w, tower)
+        if n == 500:  # the oracle's plain iteration climbs one union a round
+            assert member_oracle(w, tower)
 
 
 # --- randomized agreement ----------------------------------------------------

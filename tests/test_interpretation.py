@@ -385,6 +385,30 @@ def test_a_choice_still_draws_more_values(source, count):
     assert all(member(v, t) for v in vals)
 
 
+def test_walks_spend_no_budget_where_there_is_no_choice():
+    # from the inhabitation workload, seed 819, operation 148: the f field
+    # and the N4 loop under g hold one value each; a walk that spent steps
+    # unfolding them would run out before the union under g or the int
+    # under h, and every walk would repeat the witness
+    t = type_from_source("""
+        N0 = obj(b, [f: N6, g: N2, h: N1]);
+        N6 = obj(c, [g: N7, h: N7]);
+        N2 = obj(b, [f: N4, g: N3, h: N4]);
+        N1 = int;
+        N7 = obj(a, [h: N4]);
+        N4 = obj(c, [f: N4, g: N5]);
+        N3 = N8 \\/ N9;
+        N5 = obj(c, [g: N10, h: N4]);
+        N8 = obj(b, [g: N10]);
+        N9 = obj(b, [f: N9]);
+        N10 = obj(a, []);
+        root N0;""")
+    vals = sample_values(t, 3, 715)
+    assert len(vals) == 3
+    assert all(member_oracle(v, t) for v in vals)
+    assert not any(trees_equal_oracle(a, b) for i, a in enumerate(vals) for b in vals[:i])
+
+
 def test_forced_cyclic_member_on_a_long_cycle_does_not_recurse():
     # the int leaves the sampler a choice, so the cyclic member is built
     t = cyclic_chain(1500, with_int=True)
