@@ -2,8 +2,7 @@
 
 One executable, subcommand per operation.  Exit codes: 0 for a definite
 positive verdict, 1 for a definite negative, 2 for usage or parse errors,
-3 when a search budget, the recursion limit or memory ran out before a
-verdict was reached.
+3 when a search budget or memory ran out before a verdict was reached.
 """
 
 import argparse
@@ -17,6 +16,7 @@ from .term_core import (
     canonicalize,
     print_type,
     print_value,
+    term_to_dict,
     term_to_json,
     type_from_json,
     type_from_source,
@@ -35,7 +35,6 @@ from .cosld_engine import (
     format_term_text,
     logic_to_type,
     parse_query,
-    recursion_headroom,
     solve,
 )
 
@@ -129,7 +128,7 @@ def cmd_empty(args):
     if args.format == "json":
         data = {"empty": not inhabited}
         if wit is not None:
-            data["witness"] = json.loads(term_to_json(wit))
+            data["witness"] = term_to_dict(wit)
         _emit_json(data)
     else:
         print("not empty" if inhabited else "empty")
@@ -146,7 +145,7 @@ def cmd_sample(args):
         print("error: %s" % exc, file=sys.stderr)
         return 1
     if args.format == "json":
-        _emit_json({"values": [json.loads(term_to_json(v)) for v in values]})
+        _emit_json({"values": [term_to_dict(v) for v in values]})
     else:
         print("\n\n".join(print_value(v) for v in values))
     return 0
@@ -157,14 +156,12 @@ def _answer_json(answer):
     for name, term in answer.bindings.items():
         as_type = logic_to_type(term)
         if as_type is not None:
-            bindings[name] = {"kind": "type",
-                              "term": json.loads(term_to_json(as_type))}
+            bindings[name] = {"kind": "type", "term": term_to_dict(as_type)}
         else:
             bindings[name] = {"kind": "term", "text": format_term_text(term)}
     return {"text": format_answer(answer), "bindings": bindings}
 
 
-@recursion_headroom()  # answers are printed by walks as deep as their terms
 def cmd_solve(args):
     program = parse_program(_read(args.file))
     clauses = compile_program(program)

@@ -17,14 +17,20 @@ the body renamed, through the same map.  Each binding is made as
 unifying the goal with a renamed head would make it, so unbound answer
 variables keep the clause's names.
 
+The search is one loop over an explicit stack of choice points, in the
+manner of the WAM's continuation and choice-point stacks: each goal
+entered gets one generator of its ways to succeed, and a continuation is
+a linked list of (goals, next index, ancestors) frames.  Unification,
+copying, equality, conversion, printing and query parsing keep explicit
+stacks too, so neither the depth of a proof nor that of a term costs
+recursion.
+
 Search runs under a depth budget with iterative deepening.  Exhausting the
 budget is reported as inconclusive (depth_hit), never as failure.
 """
 
 import re
-import sys
 from collections import Counter
-from contextlib import contextmanager
 from functools import partial
 
 from .horn_compiler import (
@@ -36,6 +42,9 @@ from .horn_compiler import (
     Record,
     UnionTerm,
     Var,
+    _kids,
+    deref,
+    format_term_text,
 )
 from .subtyping import subtype
 from .term_core import (
@@ -92,12 +101,6 @@ class Query:
 
 # ---------------------------------------------------------------------------
 # terms: dereference, normal forms, unification
-
-def deref(t):
-    while isinstance(t, Var) and t.ref is not None:
-        t = t.ref
-    return t
-
 
 def _bind(trail, v, t):
     v.ref = t
@@ -181,126 +184,123 @@ def _nil():
     return ListTerm([])
 
 
+_SEQ = (ListTerm, Record)
+
+
 def _unify(a, b, trail, seen):
-    a = deref(a)
-    b = deref(b)
-    if a is b:
-        return True
-    if isinstance(a, Var):
-        _bind(trail, a, b)
-        return True
-    if isinstance(b, Var):
-        _bind(trail, b, a)
-        return True
-    pair = (id(a), id(b))
-    if pair in seen:
-        return True
-    seen.add(pair)
-    if isinstance(a, Const):
-        return isinstance(b, Const) and a.name == b.name
-    if isinstance(a, IntTerm):
-        return isinstance(b, IntTerm) and a.value == b.value
-    if isinstance(a, UnionTerm):
-        return (isinstance(b, UnionTerm)
-                and _unify(a.left, b.left, trail, seen)
-                and _unify(a.right, b.right, trail, seen))
-    if isinstance(a, ObjTerm):
-        return (isinstance(b, ObjTerm)
-                and _unify(a.cls, b.cls, trail, seen)
-                and _unify(a.rec, b.rec, trail, seen))
-    if isinstance(a, (ListTerm, Record)) and isinstance(b, (ListTerm, Record)):
-        if isinstance(a, ListTerm) or isinstance(b, ListTerm):
-            na, nb = _norm_seq(a), _norm_seq(b)
-            if na is not _FAIL and nb is not _FAIL:
-                return _unify_seqs(na, nb, trail, seen)
-        ra, rb = _norm_rec(a), _norm_rec(b)
-        if ra is _FAIL or rb is _FAIL:
+    """Unify a and b over rational trees: a loop over term pairs, with an
+    explicit stack of the pairs still to do, each pair of compound nodes
+    entered once (seen), so cycles and depth cost no recursion.  A spine's
+    tail bindings sit below its item pairs on the stack and are made after
+    them."""
+    todo = []
+    while True:
+        while type(a) is Var and a.ref is not None:
+            a = a.ref
+        while type(b) is Var and b.ref is not None:
+            b = b.ref
+        kind = type(a)
+        if a is b:
+            pass
+        elif kind is Var:
+            _bind(trail, a, b)
+        elif type(b) is Var:
+            _bind(trail, b, a)
+        elif kind is Const or kind is IntTerm:
+            if type(b) is not kind or (a.name != b.name if kind is Const else a.value != b.value):
+                return False
+        elif (pair := (id(a), id(b))) not in seen:
+            seen.add(pair)
+            if kind is UnionTerm and type(b) is UnionTerm:
+                todo.append((a.right, b.right))
+                a, b = a.left, b.left
+                continue
+            if kind is ObjTerm and type(b) is ObjTerm:
+                todo.append((a.rec, b.rec))
+                a, b = a.cls, b.cls
+                continue
+            if not (kind in _SEQ and type(b) in _SEQ and _unify_rows(a, b, todo, trail)):
+                return False
+        while todo:
+            a, b = todo.pop()
+            if a is not None:
+                break
+            _bind(trail, *b)  # a tail binding (variable, term)
+        else:
+            return True
+
+
+def _unify_rows(a, b, todo, trail):
+    """Push the pairs that unify list or record a with b, and the tail
+    bindings to make after them; False when their shapes cannot unify."""
+    if type(a) is ListTerm and type(b) is ListTerm and a.tail is None and b.tail is None:
+        # two closed lists, the common case, need no flattening
+        if len(a.items) != len(b.items):
             return False
-        return _unify_recs(ra, rb, trail, seen)
-    return False
-
-
-def _unify_seqs(na, nb, trail, seen):
-    items_a, tail_a = na
-    items_b, tail_b = nb
-    n = min(len(items_a), len(items_b))
-    for x, y in zip(items_a, items_b):
-        if not _unify(x, y, trail, seen):
-            return False
-    if len(items_a) > n:
-        if tail_b is None:
-            return False
-        _bind(trail, tail_b, ListTerm(items_a[n:], tail_a))
+        todo += reversed(list(zip(a.items, b.items)))
         return True
-    if len(items_b) > n:
-        if tail_a is None:
-            return False
-        _bind(trail, tail_a, ListTerm(items_b[n:], tail_b))
-        return True
-    if tail_a is None and tail_b is None:
-        return True
-    if tail_a is None:
-        _bind(trail, tail_b, _nil())
-        return True
-    if tail_b is None:
-        _bind(trail, tail_a, _nil())
-        return True
-    if tail_a is not tail_b:
-        _bind(trail, tail_a, tail_b)
-    return True
-
-
-def _is_key_pattern(pairs, varkeys, tail):
-    return not pairs and len(varkeys) == 1 and tail is None
-
-
-def _unify_recs(ra, rb, trail, seen):
-    pairs_a, var_a, tail_a = ra
-    pairs_b, var_b, tail_b = rb
+    if type(a) is ListTerm or type(b) is ListTerm:
+        na, nb = _norm_seq(a), _norm_seq(b)
+        if na is not _FAIL and nb is not _FAIL:
+            (items_a, tail_a), (items_b, tail_b) = na, nb
+            n = min(len(items_a), len(items_b))
+            if len(items_a) > n:
+                if tail_b is None:
+                    return False
+                todo.append((None, (tail_b, ListTerm(items_a[n:], tail_a))))
+            elif len(items_b) > n:
+                if tail_a is None:
+                    return False
+                todo.append((None, (tail_a, ListTerm(items_b[n:], tail_b))))
+            elif tail_a is None and tail_b is not None:
+                todo.append((None, (tail_b, _nil())))
+            elif tail_b is None and tail_a is not None:
+                todo.append((None, (tail_a, _nil())))
+            elif tail_a is not tail_b:
+                todo.append((None, (tail_a, tail_b)))
+            todo += reversed(list(zip(items_a, items_b)))
+            return True
+    ra, rb = _norm_rec(a), _norm_rec(b)
+    if ra is _FAIL or rb is _FAIL:
+        return False
+    (pairs_a, var_a, tail_a), (pairs_b, var_b, tail_b) = ra, rb
     if var_a or var_b:
         # only the singleton [Key:Value] pattern is supported; it matches
         # records with exactly one field
-        if _is_key_pattern(*ra) and len(pairs_b) == 1 and not var_b:
-            key_var, val = var_a[0]
-            other, other_val = next(iter(pairs_b.items()))
-            if tail_b is not None:
-                _bind(trail, tail_b, Record([]))
-            _bind(trail, key_var, Const(other))
-            return _unify(val, other_val, trail, seen)
-        if _is_key_pattern(*rb) and len(pairs_a) == 1 and not var_a:
-            key_var, val = var_b[0]
-            other, other_val = next(iter(pairs_a.items()))
-            if tail_a is not None:
-                _bind(trail, tail_a, Record([]))
-            _bind(trail, key_var, Const(other))
-            return _unify(val, other_val, trail, seen)
-        return False
-    for key in pairs_a.keys() & pairs_b.keys():
-        if not _unify(pairs_a[key], pairs_b[key], trail, seen):
+        if not var_b and len(pairs_b) == 1 and not pairs_a and len(var_a) == 1 and tail_a is None:
+            (key_var, val), ((other, other_val),) = var_a[0], pairs_b.items()
+            tail = tail_b
+        elif not var_a and len(pairs_a) == 1 and not pairs_b and len(var_b) == 1 and tail_b is None:
+            (key_var, val), ((other, other_val),) = var_b[0], pairs_a.items()
+            tail = tail_a
+        else:
             return False
-    only_a = {k: v for k, v in pairs_a.items() if k not in pairs_b}
-    only_b = {k: v for k, v in pairs_b.items() if k not in pairs_a}
-    if only_a and tail_b is None:
-        return False
-    if only_b and tail_a is None:
-        return False
+        if tail is not None:
+            _bind(trail, tail, Record([]))
+        _bind(trail, key_var, Const(other))
+        todo.append((val, other_val))
+        return True
     if tail_a is None and tail_b is None:
-        return True
-    if tail_a is None:
-        _bind(trail, tail_b, Record(sorted(only_a.items())))
-        return True
-    if tail_b is None:
-        _bind(trail, tail_a, Record(sorted(only_b.items())))
-        return True
-    if not only_a and not only_b:
-        if tail_a is not tail_b:
-            _bind(trail, tail_a, tail_b)
-        return True
-    if tail_a is tail_b:
-        return False
-    rest = Var("R")
-    _bind(trail, tail_a, Record(sorted(only_b.items()), rest))
-    _bind(trail, tail_b, Record(sorted(only_a.items()), rest))
+        if pairs_a.keys() != pairs_b.keys():
+            return False
+    else:
+        only_a = {k: v for k, v in pairs_a.items() if k not in pairs_b}
+        only_b = {k: v for k, v in pairs_b.items() if k not in pairs_a}
+        if only_a and tail_b is None or only_b and tail_a is None:
+            return False
+        if tail_a is None:
+            todo.append((None, (tail_b, Record(sorted(only_a.items())))))
+        elif tail_b is None:
+            todo.append((None, (tail_a, Record(sorted(only_b.items())))))
+        elif only_a or only_b:
+            if tail_a is tail_b:
+                return False
+            rest = Var("R")
+            todo += ((None, (tail_b, Record(sorted(only_a.items()), rest))),
+                     (None, (tail_a, Record(sorted(only_b.items()), rest))))
+        elif tail_a is not tail_b:
+            todo.append((None, (tail_a, tail_b)))
+    todo += reversed([(pairs_a[k], pairs_b[k]) for k in pairs_a.keys() & pairs_b.keys()])
     return True
 
 
@@ -309,7 +309,8 @@ def _lookup(pattern, other, trail, seen):
     with a goal's argument, after the head's other arguments: once they
     bind K to a field name, V unifies with that field of a closed record of
     any width, or of an open record that lists it.  Otherwise it is plain
-    unification, under which an unbound key matches one-field records."""
+    unification, under which an unbound key matches one-field records;
+    _field_goals cuts a wider closed record to each of its fields."""
     (key, val), = pattern.pairs
     key, rec = deref(key), _norm_rec(other)
     if (isinstance(key, Const) and rec is not _FAIL and not rec[1]
@@ -332,61 +333,54 @@ def unify_rational(a, b):
 # copies, equality, conversions
 
 def copy_term(t, memo=None):
-    """Deep copy with bindings resolved, preserving cycles and sharing."""
+    """Deep copy with bindings resolved, preserving cycles and sharing;
+    lists and records are copied flattened.  Each copy is made holding its
+    source's children and relinked in a second pass, so depth costs no
+    recursion."""
     if memo is None:
         memo = {}
+    made = []
+    todo = [t]
+    while todo:
+        s = deref(todo.pop())
+        kind = type(s)
+        if kind is Const or kind is IntTerm or id(s) in memo:
+            continue
+        if kind is Var:
+            memo[id(s)] = Var(s.name)
+            continue
+        if kind is UnionTerm:
+            shell = UnionTerm(s.left, s.right)
+        elif kind is ObjTerm:
+            shell = ObjTerm(s.cls, s.rec)
+        elif kind is Record:
+            norm = _norm_rec(s)
+            shell = (Record(s.pairs, s.tail) if norm is _FAIL
+                     else Record(sorted(norm[0].items()) + norm[1], norm[2]))
+        else:
+            norm = _norm_seq(s)
+            shell = ListTerm(s.items, s.tail) if norm is _FAIL else ListTerm(*norm)
+        memo[id(s)] = shell
+        made.append(shell)
+        todo += _kids(shell)
 
-    def cp(t):
-        t = deref(t)
-        if isinstance(t, (Const, IntTerm)):
-            return t
-        key = id(t)
-        if key in memo:
-            return memo[key]
-        if isinstance(t, Var):
-            fresh = Var(t.name)
-            memo[key] = fresh
-            return fresh
-        if isinstance(t, UnionTerm):
-            shell = UnionTerm(None, None)
-            memo[key] = shell
-            shell.left = cp(t.left)
-            shell.right = cp(t.right)
-            return shell
-        if isinstance(t, ObjTerm):
-            shell = ObjTerm(None, None)
-            memo[key] = shell
-            shell.cls = cp(t.cls)
-            shell.rec = cp(t.rec)
-            return shell
-        if isinstance(t, Record):
-            norm = _norm_rec(t)
-            shell = Record([])
-            memo[key] = shell
-            if norm is _FAIL:
-                shell.pairs = [(k if isinstance(k, str) else cp(k), cp(v))
-                               for k, v in t.pairs]
-                shell.tail = cp(t.tail) if t.tail is not None else None
-            else:
-                pairs, varkeys, tail = norm
-                shell.pairs = ([(k, cp(v)) for k, v in sorted(pairs.items())]
-                               + [(cp(k), cp(v)) for k, v in varkeys])
-                shell.tail = cp(tail) if tail is not None else None
-            return shell
-        if isinstance(t, ListTerm):
-            norm = _norm_seq(t)
-            shell = ListTerm([])
-            memo[key] = shell
-            if norm is _FAIL:
-                shell.items = [cp(x) for x in t.items]
-                shell.tail = cp(t.tail) if t.tail is not None else None
-            else:
-                items, tail = norm
-                shell.items = [cp(x) for x in items]
-                shell.tail = cp(tail) if tail is not None else None
-            return shell
-        raise TypeError(t)
+    def cp(x):
+        x = deref(x)
+        return x if type(x) is Const or type(x) is IntTerm else memo[id(x)]
 
+    for shell in made:
+        kind = type(shell)
+        if kind is UnionTerm:
+            shell.left, shell.right = cp(shell.left), cp(shell.right)
+        elif kind is ObjTerm:
+            shell.cls, shell.rec = cp(shell.cls), cp(shell.rec)
+        else:
+            if kind is Record:
+                shell.pairs = [(k if type(k) is str else cp(k), cp(v)) for k, v in shell.pairs]
+            else:
+                shell.items = [cp(x) for x in shell.items]
+            if shell.tail is not None:
+                shell.tail = cp(shell.tail)
     return cp(t)
 
 
@@ -396,70 +390,59 @@ def _copy_atom(atom, memo):
 
 def logic_equal(a, b):
     """Bisimulation equality: same infinite unfolding, with a consistent
-    bijection between unbound variables."""
+    bijection between unbound variables.  An explicit stack of pairs, each
+    pair of nodes entered once, in the order a depth-first walk meets them."""
     fwd, bwd = {}, {}
-
-    def eq(a, b, seen):
-        a = deref(a)
-        b = deref(b)
+    seen = set()
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        a, b = deref(a), deref(b)
         if a is b:
-            return True
-        if isinstance(a, Var) or isinstance(b, Var):
-            if not (isinstance(a, Var) and isinstance(b, Var)):
+            continue
+        kind = type(a)
+        if kind is Var or type(b) is Var:
+            if kind is not type(b):
                 return False
             if fwd.get(id(a)) is not None or bwd.get(id(b)) is not None:
-                return fwd.get(id(a)) is b and bwd.get(id(b)) is a
+                if fwd.get(id(a)) is not b or bwd.get(id(b)) is not a:
+                    return False
             fwd[id(a)] = b
             bwd[id(b)] = a
-            return True
+            continue
         pair = (id(a), id(b))
         if pair in seen:
-            return True
+            continue
         seen.add(pair)
-        if isinstance(a, Const):
-            return isinstance(b, Const) and a.name == b.name
-        if isinstance(a, IntTerm):
-            return isinstance(b, IntTerm) and a.value == b.value
-        if isinstance(a, UnionTerm):
-            return (isinstance(b, UnionTerm)
-                    and eq(a.left, b.left, seen)
-                    and eq(a.right, b.right, seen))
-        if isinstance(a, ObjTerm):
-            return (isinstance(b, ObjTerm)
-                    and eq(a.cls, b.cls, seen)
-                    and eq(a.rec, b.rec, seen))
-        if isinstance(a, (ListTerm, Record)) and isinstance(b, (ListTerm, Record)):
+        if kind is UnionTerm and type(b) is UnionTerm:
+            todo += ((a.right, b.right), (a.left, b.left))
+        elif kind is ObjTerm and type(b) is ObjTerm:
+            todo += ((a.rec, b.rec), (a.cls, b.cls))
+        elif kind in _SEQ and type(b) in _SEQ:
             na, nb = _norm_seq(a), _norm_seq(b)
             if na is not _FAIL and nb is not _FAIL:
-                if len(na[0]) != len(nb[0]):
+                (ia, ta), (ib, tb) = na, nb
+                if len(ia) != len(ib):
                     return False
-                if (na[1] is None) != (nb[1] is None):
+                kids = list(zip(ia, ib))
+            else:
+                ra, rb = _norm_rec(a), _norm_rec(b)
+                if ra is _FAIL or rb is _FAIL:
                     return False
-                if na[1] is not None and not eq(na[1], nb[1], seen):
+                (pa, va, ta), (pb, vb, tb) = ra, rb
+                if set(pa) != set(pb) or len(va) != len(vb) or len(va) > 1:
                     return False
-                return all(eq(x, y, seen) for x, y in zip(na[0], nb[0]))
-            ra, rb = _norm_rec(a), _norm_rec(b)
-            if ra is _FAIL or rb is _FAIL:
-                return False
-            pa, va, ta = ra
-            pb, vb, tb = rb
-            if set(pa) != set(pb) or len(va) != len(vb):
-                return False
+                kids = [(va[0][0], vb[0][0]), (va[0][1], vb[0][1])] if va else []
+                kids += [(pa[k], pb[k]) for k in pa]
             if (ta is None) != (tb is None):
                 return False
-            if ta is not None and not eq(ta, tb, seen):
-                return False
-            if va:
-                if len(va) != 1:
-                    return False
-                if not eq(va[0][0], vb[0][0], seen):
-                    return False
-                if not eq(va[0][1], vb[0][1], seen):
-                    return False
-            return all(eq(pa[k], pb[k], seen) for k in pa)
-        return False
-
-    return eq(a, b, set())
+            todo += reversed(kids)  # the tail first, then a key pattern, then the rest
+            if ta is not None:
+                todo.append((ta, tb))
+        elif not (kind is type(b) and (a.name == b.name if kind is Const
+                                       else kind is IntTerm and a.value == b.value)):
+            return False
+    return True
 
 
 def _atoms_equal(a, b):
@@ -468,52 +451,40 @@ def _atoms_equal(a, b):
     return logic_equal(ListTerm(a.args), ListTerm(b.args))
 
 
-class _NotAType(Exception):
-    pass
-
-
 def logic_to_type(t):
     """Convert a ground logic term into a type graph; None when the term
-    contains variables, open rows, or non-type constructors."""
+    contains variables, open rows, or non-type constructors.  Nodes are
+    made in the order of a depth-first walk and linked in a second pass,
+    as type_to_logic does, so depth costs no recursion."""
     memo = {}
-
-    def conv(t):
-        t = deref(t)
-        key = id(t)
-        if key in memo:
-            return memo[key]
-        if isinstance(t, Const):
-            if t.name != "int":
-                raise _NotAType
+    made = []  # nodes made, holding their terms' children until linked
+    todo = [t]
+    while todo:
+        s = deref(todo.pop())
+        if id(s) in memo:
+            continue
+        kind = type(s)
+        if kind is Const and s.name == "int":
             node = IntType()
-            memo[key] = node
-            return node
-        if isinstance(t, UnionTerm):
-            node = UnionType()
-            memo[key] = node
-            node.left = conv(t.left)
-            node.right = conv(t.right)
-            return node
-        if isinstance(t, ObjTerm):
-            cls = deref(t.cls)
-            if not isinstance(cls, Const):
-                raise _NotAType
-            norm = _norm_rec(t.rec)
-            if norm is _FAIL:
-                raise _NotAType
-            pairs, varkeys, tail = norm
-            if varkeys or tail is not None:
-                raise _NotAType
-            node = ObjType(cls.name)
-            memo[key] = node
-            node.fields = {k: conv(v) for k, v in sorted(pairs.items())}
-            return node
-        raise _NotAType
-
-    try:
-        return conv(t)
-    except _NotAType:
-        return None
+        elif kind is UnionTerm:
+            node = UnionType(s.left, s.right)
+            todo += (s.right, s.left)
+        elif kind is ObjTerm:
+            cls, norm = deref(s.cls), _norm_rec(s.rec)
+            if type(cls) is not Const or norm is _FAIL or norm[1] or norm[2] is not None:
+                return None
+            node = ObjType(cls.name, norm[0])
+            todo += reversed(node.fields.values())
+        else:
+            return None
+        memo[id(s)] = node
+        made.append(node)
+    for node in made:
+        if type(node) is UnionType:
+            node.left, node.right = memo[id(deref(node.left))], memo[id(deref(node.right))]
+        elif type(node) is ObjType:
+            node.fields = {f: memo[id(deref(k))] for f, k in node.fields.items()}
+    return memo[id(deref(t))]
 
 
 def type_to_logic(t, memo=None):
@@ -562,27 +533,18 @@ def _vars(terms):
     visited = set()
     while stack:
         t = deref(stack.pop())
-        if isinstance(t, (Const, IntTerm)) or id(t) in visited:
+        kind = type(t)
+        if kind is Const or kind is IntTerm or id(t) in visited:
             continue
         visited.add(id(t))
-        if isinstance(t, Var):
+        if kind is Var:
             yield t
-        elif isinstance(t, UnionTerm):
-            stack.extend((t.right, t.left))
-        elif isinstance(t, ObjTerm):
-            stack.extend((t.rec, t.cls))
-        elif isinstance(t, Record):
-            for k, v in reversed(t.pairs):
-                stack.append(v)
-                if isinstance(k, Var):
-                    stack.append(k)
-            if t.tail is not None:
-                stack.append(t.tail)
-        elif isinstance(t, ListTerm):
-            if t.tail is not None:
-                stack.append(t.tail)
-            stack.extend(reversed(t.items))
+        else:
+            stack += reversed(_kids(t))
 
+
+# _instance and _match recurse, but only on a stored clause's terms, which
+# compile_program builds at most 3 deep: obj(C, [f:P|R]).
 
 def _instance(t, m):
     """Clause term t with each variable replaced by its term in m; a
@@ -648,6 +610,26 @@ def _match(h, g, m, trail, seen):
     return g.value == h.value
 
 
+def _is_lookup(h):
+    return (type(h) is Record and h.tail is None and len(h.pairs) == 1
+            and type(h.pairs[0][0]) is Var)
+
+
+def _field_goals(goal, i):
+    """The goals a clause whose head has a [K:V] pattern at argument i
+    resolves: when the goal's argument i is a closed record of several
+    fields, one goal per field in key order, that record cut to the field,
+    so a K that nothing binds takes each field in turn; a K bound to a name
+    matches its own field alone, as its lookup in the whole record would.
+    Otherwise the goal itself."""
+    norm = _norm_rec(goal.args[i])
+    if norm is _FAIL or norm[1] or norm[2] is not None or len(norm[0]) < 2:
+        return (goal,)
+    args = goal.args
+    return [Atom(goal.pred, args[:i] + [Record([pair])] + args[i + 1:])
+            for pair in sorted(norm[0].items())]
+
+
 def _match_head(goal, head, trail):
     """Resolve goal against a stored clause head without renaming the
     clause.  The head's [K:V] patterns, such as rec_acc's [F:T], are
@@ -658,8 +640,7 @@ def _match_head(goal, head, trail):
     seen = set()
     later = []
     for h, g in zip(head.args, goal.args):
-        if (type(h) is Record and h.tail is None and len(h.pairs) == 1
-                and isinstance(h.pairs[0][0], Var)):
+        if _is_lookup(h):
             later.append((_instance(h, m), g))
         elif not _match(h, g, m, trail, seen):
             return None
@@ -714,6 +695,9 @@ class _Engine:
         # not_dec_*): a goal on one with constant arguments binds nothing
         self.fact_preds = {pk for pk, (every, _, _) in self.index.items()
                            if all(not c.body and _ground_head(c.head) for c in every)}
+        # clause -> an argument of its head that is a [K:V] pattern
+        self.lookups = {c: i for c in clauses for i, h in enumerate(c.head.args)
+                        if type(h) is Record and _is_lookup(h)}
         self.trail = []
         self.steps = 0
         self.subsumptions = []
@@ -735,20 +719,28 @@ class _Engine:
                 and all(isinstance(deref(a), Const) for a in atom.args))
 
     def _sub_position(self, small, large, obligations):
-        s, l = deref(small), deref(large)
-        ns, nl = _norm_seq(s), _norm_seq(l)
-        if (ns is not _FAIL and nl is not _FAIL
-                and ns[1] is None and nl[1] is None
-                and len(ns[0]) == len(nl[0])):
-            return all(self._sub_position(x, y, obligations)
-                       for x, y in zip(ns[0], nl[0]))
-        st, lt = logic_to_type(s), logic_to_type(l)
-        if st is not None and lt is not None:
-            if subtype(st, lt):
+        """Whether small sits below large: closed lists of one length item
+        by item, ground types by subtyping (each holding pair goes to
+        obligations), and anything else by unification.  The pairs are
+        taken from an explicit stack, left to right."""
+        todo = [(small, large)]
+        while todo:
+            small, large = todo.pop()
+            s, l = deref(small), deref(large)
+            ns, nl = _norm_seq(s), _norm_seq(l)
+            if (ns is not _FAIL and nl is not _FAIL
+                    and ns[1] is None and nl[1] is None
+                    and len(ns[0]) == len(nl[0])):
+                todo += reversed(list(zip(ns[0], nl[0])))
+                continue
+            st, lt = logic_to_type(s), logic_to_type(l)
+            if st is not None and lt is not None:
+                if not subtype(st, lt):
+                    return False
                 obligations.append((st, lt))
-                return True
-            return False
-        return _unify(small, large, self.trail, set())
+            elif not _unify(small, large, self.trail, set()):
+                return False
+        return True
 
     def _subsume(self, ancestor, current, table):
         obligations = []
@@ -766,76 +758,85 @@ class _Engine:
                 raise EngineError("unknown variance %r" % (v,))
         return True, obligations
 
-    def _prove_atom(self, atom, anc, limit):
-        self.steps += 1
-        if self.steps > self.config.max_steps:
-            self.steps_exhausted = True
-            return
-        cfg = self.config
+    def _ways(self, atom, anc, limit, then):
+        """The choice point of goal atom: a generator that yields, once per
+        way the goal succeeds, the continuation to run next, with the way's
+        bindings on the trail, and undoes them when resumed.  A goal closes
+        a cycle by unifying with an ancestor or being subsumed by one, and
+        otherwise continues with the renamed body of each matching clause,
+        whose goals have it as their nearest ancestor."""
+        cfg, trail = self.config, self.trail
         node = anc
         while node is not None:
             anc_atom = node[0]
             if anc_atom.pred == atom.pred and len(anc_atom.args) == len(atom.args):
                 if cfg.coinduction_enabled:
-                    mark = len(self.trail)
+                    mark = len(trail)
                     seen = set()
-                    if all(_unify(x, y, self.trail, seen)
+                    if all(_unify(x, y, trail, seen)
                            for x, y in zip(atom.args, anc_atom.args)):
-                        yield
-                    _undo(self.trail, mark)
+                        yield then
+                    _undo(trail, mark)
                 table = cfg.variance.get(atom.pred)
                 if (cfg.subsumption_enabled and table is not None
                         and len(table) == len(atom.args)):
-                    mark = len(self.trail)
+                    mark = len(trail)
                     ok, obligations = self._subsume(anc_atom, atom, table)
                     if ok:
                         self.subsumptions.append((atom.pred, tuple(obligations)))
-                        yield
-                    _undo(self.trail, mark)
+                        yield then
+                    _undo(trail, mark)
             node = node[1]
         depth = anc[2] if anc is not None else 0
         if depth >= limit:
             self.depth_hit = True
             return
         child = (atom, anc, depth + 1)
-        trail = self.trail
         for clause in self._candidates(atom):
-            mark = len(trail)
-            m = _match_head(atom, clause.head, trail)
-            if m is not None:
-                body = [Atom(b.pred, [_instance(a, m) for a in b.args]) for b in clause.body]
-                yield from self._prove_seq(body, 0, child, limit)
-            _undo(trail, mark)
+            i = self.lookups.get(clause)
+            for goal in (atom,) if i is None else _field_goals(atom, i):
+                mark = len(trail)
+                m = _match_head(goal, clause.head, trail)
+                if m is not None:
+                    body = [Atom(b.pred, [_instance(a, m) for a in b.args])
+                            for b in clause.body]
+                    yield (body, 0, child, then) if body else then
+                _undo(trail, mark)
 
-    def _prove_seq(self, atoms, i, anc, limit):
-        if i == len(atoms):
-            yield
-            return
-        # Prove a bound ground-fact goal first.  It binds nothing, succeeds
-        # at most once per matching fact and is never its own ancestor, so
-        # the answers and their order stay the same; a failing one cuts the
-        # branch before the goals it jumped over are explored.
-        if not self._bound_fact(atoms[i]):
-            for j in range(i + 1, len(atoms)):
-                if self._bound_fact(atoms[j]):
-                    atoms = atoms[:i] + [atoms[j]] + atoms[i:j] + atoms[j + 1:]
+    def _proofs(self, goal, limit):
+        """Yield once per proof of goal, with its bindings in place.  One
+        loop runs a frame's next goal, pushing that goal's choice point,
+        and resumes the newest choice point for the frame to run next."""
+        choices = []
+        frame = ([goal], 0, None, None)  # goals, next index, ancestors, continuation
+        while True:
+            if frame is None:
+                yield
+            else:
+                goals, i, anc, then = frame
+                # Prove a bound ground-fact goal first.  It binds nothing,
+                # succeeds at most once per matching fact and is never its
+                # own ancestor, so the answers and their order stay the same;
+                # a failing one cuts the branch before the goals it jumped
+                # over are explored.
+                if not self._bound_fact(goals[i]):
+                    for j in range(i + 1, len(goals)):
+                        if self._bound_fact(goals[j]):
+                            goals = goals[:i] + [goals[j]] + goals[i:j] + goals[j + 1:]
+                            break
+                self.steps += 1
+                if self.steps > self.config.max_steps:
+                    self.steps_exhausted = True
+                else:
+                    after = (goals, i + 1, anc, then) if i + 1 < len(goals) else then
+                    choices.append(self._ways(goals[i], anc, limit, after))
+            while choices:
+                frame = next(choices[-1], _FAIL)
+                if frame is not _FAIL:
                     break
-        for _ in self._prove_atom(atoms[i], anc, limit):
-            yield from self._prove_seq(atoms, i + 1, anc, limit)
-
-
-@contextmanager
-def recursion_headroom():
-    """Raise the recursion limit to 10000, if lower, for the block or the
-    decorated call, and restore the caller's limit however it ends.  The
-    search recurses through nested generators, and answers are copied and
-    printed by walks as deep as their terms."""
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 10000))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
+                choices.pop()
+            else:
+                return
 
 
 def _stages(config):
@@ -862,7 +863,6 @@ def _capture(atom, qvars):
     return Answer(copied, bindings)
 
 
-@recursion_headroom()
 def solve(query, clauses, config=None):
     """Run the query against the clause set.  The result carries every
     distinct answer found in the first productive deepening stage, whether
@@ -883,7 +883,7 @@ def solve(query, clauses, config=None):
         stage_answers = []
         cap_hit = False
         try:
-            for _ in engine._prove_atom(atom, None, limit):
+            for _ in engine._proofs(atom, limit):
                 ans = _capture(atom, qvars)
                 if not any(_atoms_equal(ans.atom, old.atom)
                            for old in stage_answers):
@@ -990,85 +990,103 @@ class _QueryParser(TokenParser):
         return Atom(name[1], args)
 
     def term(self, type_terms):
-        parts = [self.primary(type_terms)]
-        while self.peek()[0] == "\\/":
-            self.next()
-            parts.append(self.primary(type_terms))
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = UnionTerm(p, out)
-        return out
+        """One term.  An LL(1) loop over an explicit stack of open
+        parentheses, obj(...) arguments, lists, records and tails, so
+        nesting depth costs no recursion.
 
-    def primary(self, type_terms):
-        t = self.peek()
-        if t[0] == "(":
-            self.next()
-            inner = self.term(type_terms)
-            self.expect(")")
-            return inner
-        if t[0] == "INT":
-            self.next()
-            return IntTerm(int(t[1]))
-        if t[0] == "VAR":
-            self.next()
-            if t[1] in type_terms:
-                return type_terms[t[1]]
-            return self.vars.setdefault(t[1], Var(t[1]))
-        if t[0] == "IDENT":
-            self.next()
-            if self.peek()[0] == "(":
-                if t[1] != "obj":
-                    self.err("only obj(...) may be used as a compound term", t)
+        term := primary ('\\/' primary)*, right associative
+        primary := '(' term ')' | INT | VAR | IDENT | 'obj' '(' term ',' term ')'
+                 | '[' ']' | '[' key ':' term (',' key ':' term)* ('|' term)? ']'
+                 | '[' term (',' term)* ('|' term)? ']'
+        """
+        stack = []  # [kind, the outer term's primaries, ...] per open frame
+        parts = []  # the primaries before each '\/' of the innermost open term
+        while True:
+            t = self.next()
+            kind = t[0]
+            if kind == "INT":
+                term = IntTerm(int(t[1]))
+            elif kind == "VAR":
+                term = (type_terms[t[1]] if t[1] in type_terms
+                        else self.vars.setdefault(t[1], Var(t[1])))
+            elif kind == "IDENT" and not self.at("("):
+                term = Const(t[1])
+            elif kind == "[" and self.at("]"):
                 self.next()
-                cls = self.term(type_terms)
-                self.expect(",")
-                rec = self.term(type_terms)
-                self.expect(")")
-                return ObjTerm(cls, rec)
-            return Const(t[1])
-        if t[0] == "[":
-            return self.sequence(type_terms)
-        self.err("expected a term, found %r" % (t[1] or "end of input"), t)
-
-    def sequence(self, type_terms):
-        self.next()  # [
-        if self.peek()[0] == "]":
-            self.next()
-            return ListTerm([])
-        is_record = (self.peek()[0] in ("IDENT", "VAR")
-                     and self.peek(1)[0] == ":")
-        if is_record:
-            pairs = []
-            while True:
-                k = self.next()
-                if k[0] == "IDENT":
-                    key = k[1]
-                elif k[0] == "VAR":
-                    key = self.vars.setdefault(k[1], Var(k[1]))
-                else:
-                    self.err("expected a field name", k)
-                self.expect(":")
-                pairs.append((key, self.term(type_terms)))
-                if self.peek()[0] == ",":
+                term = ListTerm([])
+            else:
+                if kind == "IDENT":
+                    if t[1] != "obj":
+                        self.err("only obj(...) may be used as a compound term", t)
                     self.next()
+                    stack.append(["obj", parts, None])
+                elif kind == "[" and self.peek()[0] in ("IDENT", "VAR") and self.peek(1)[0] == ":":
+                    stack.append([Record, parts, [], self.key()])
+                elif kind == "[":
+                    stack.append([ListTerm, parts, []])
+                elif kind == "(":
+                    stack.append(["(", parts])
+                else:
+                    self.err("expected a term, found %r" % (t[1] or "end of input"), t)
+                parts = []
+                continue
+            # a primary is complete: continue its union, or close the term
+            # and with it the innermost open frame
+            while True:
+                if self.at("\\/"):
+                    self.next()
+                    parts.append(term)
+                    break
+                while parts:
+                    term = UnionTerm(parts.pop(), term)
+                if not stack:
+                    return term
+                frame = stack.pop()
+                kind, parts = frame[0], frame[1]
+                if kind == "(":
+                    self.expect(")")
                     continue
-                break
-            tail = None
-            if self.peek()[0] == "|":
-                self.next()
-                tail = self.term(type_terms)
-            self.expect("]")
-            return Record(pairs, tail)
-        items = [self.term(type_terms)]
-        while self.peek()[0] == ",":
-            self.next()
-            items.append(self.term(type_terms))
-        tail = None
-        if self.peek()[0] == "|":
-            self.next()
-            tail = self.term(type_terms)
-        self.expect("]")
-        return ListTerm(items, tail)
+                if kind == "obj":
+                    if frame[2] is None:
+                        self.expect(",")
+                        frame[2] = term
+                        stack.append(frame)
+                        parts = []
+                        break
+                    self.expect(")")
+                    term = ObjTerm(frame[2], term)
+                    continue
+                if kind == "|":
+                    self.expect("]")
+                    term = frame[2](frame[3], term)
+                    continue
+                frame[2].append((frame[3], term) if kind is Record else term)
+                if self.at(","):
+                    self.next()
+                    if kind is Record:
+                        frame[3] = self.key()
+                    stack.append(frame)
+                    parts = []
+                    break
+                if self.at("|"):
+                    self.next()
+                    stack.append(["|", parts, kind, frame[2]])
+                    parts = []
+                    break
+                self.expect("]")
+                term = kind(frame[2])
+
+    def key(self):
+        """A record key and its ':'; a variable key is a query variable."""
+        k = self.next()
+        if k[0] == "IDENT":
+            key = k[1]
+        elif k[0] == "VAR":
+            key = self.vars.setdefault(k[1], Var(k[1]))
+        else:
+            self.err("expected a field name", k)
+        self.expect(":")
+        return key
 
 
 def parse_query(source):
@@ -1086,103 +1104,6 @@ def parse_query(source):
 
 # ---------------------------------------------------------------------------
 # answer formatting
-
-def _format_logic(root):
-    """Render a term, naming nodes that lie on cycles and emitting one
-    equation per named node."""
-    names = {}
-    order = []
-
-    onpath = set()
-    visited = set()
-
-    def kids(t):
-        if isinstance(t, UnionTerm):
-            return (t.left, t.right)
-        if isinstance(t, ObjTerm):
-            return (t.cls, t.rec)
-        if isinstance(t, Record):
-            out = [v for _, v in t.pairs]
-            if t.tail is not None:
-                out.append(t.tail)
-            return tuple(out)
-        if isinstance(t, ListTerm):
-            out = list(t.items)
-            if t.tail is not None:
-                out.append(t.tail)
-            return tuple(out)
-        return ()
-
-    stack = [(deref(root), iter(kids(deref(root))))]
-    onpath.add(id(deref(root)))
-    visited.add(id(deref(root)))
-    while stack:
-        node, it = stack[-1]
-        advanced = False
-        for child in it:
-            child = deref(child)
-            if id(child) in onpath:
-                if id(child) not in names:
-                    names[id(child)] = "T%d" % len(names)
-                    order.append(child)
-                continue
-            if id(child) in visited:
-                continue
-            visited.add(id(child))
-            onpath.add(id(child))
-            stack.append((child, iter(kids(child))))
-            advanced = True
-            break
-        if not advanced:
-            onpath.discard(id(node))
-            stack.pop()
-
-    def ref(t, owner=None):
-        t = deref(t)
-        if id(t) in names and t is not owner:
-            return names[id(t)]
-        return body(t)
-
-    def body(t):
-        if isinstance(t, Var):
-            return t.name
-        if isinstance(t, Const):
-            return t.name
-        if isinstance(t, IntTerm):
-            return str(t.value)
-        if isinstance(t, UnionTerm):
-            left = ref(t.left)
-            if (isinstance(deref(t.left), UnionTerm)
-                    and id(deref(t.left)) not in names):
-                left = "(%s)" % left
-            return "%s\\/%s" % (left, ref(t.right))
-        if isinstance(t, ObjTerm):
-            return "obj(%s,%s)" % (ref(t.cls), ref(t.rec))
-        if isinstance(t, Record):
-            inner = ",".join("%s:%s" % (k if isinstance(k, str) else k.name,
-                                        ref(v))
-                             for k, v in t.pairs)
-            if t.tail is not None:
-                return "[%s|%s]" % (inner, ref(t.tail))
-            return "[%s]" % inner
-        if isinstance(t, ListTerm):
-            inner = ",".join(ref(x) for x in t.items)
-            if t.tail is not None:
-                return "[%s|%s]" % (inner, ref(t.tail))
-            return "[%s]" % inner
-        raise TypeError(t)
-
-    main = ref(deref(root))
-    equations = ["%s = %s" % (names[id(node)], body(node)) for node in order]
-    return main, equations
-
-
-def format_term_text(t):
-    main, equations = _format_logic(t)
-    if equations:
-        return "%s where %s" % (main, "; ".join(equations))
-    return main
-
 
 def format_answer(answer):
     """One line per query variable the answer constrains.  A variable left

@@ -12,6 +12,9 @@ invocation lifted over unions, and object construction.
 Negative conditions (a class does not redeclare an inherited member) are
 precomputed as ground not_dec_field / not_dec_meth facts over the
 program's class and member-name universes, keeping everything pure Horn.
+
+The logic terms the clauses are made of, and the one printer of logic
+terms, which clauses and solver answers share, are defined here too.
 """
 
 import re
@@ -112,37 +115,135 @@ class HornClause:
         self.body = list(body)
 
 
-def format_term(t):
-    if isinstance(t, Var):
+def deref(t):
+    while type(t) is Var and t.ref is not None:
+        t = t.ref
+    return t
+
+
+def _kids(t):
+    """The subterms of a logic term in writing order: a union's sides, an
+    obj's class and record, a record's variable keys each before its
+    value, a list's items, and then the tail of a record or list."""
+    kind = type(t)
+    if kind is UnionTerm:
+        return (t.left, t.right)
+    if kind is ObjTerm:
+        return (t.cls, t.rec)
+    if kind is Record:
+        out = []
+        for k, v in t.pairs:
+            if type(k) is Var:
+                out.append(k)
+            out.append(v)
+    elif kind is ListTerm:
+        out = list(t.items)
+    else:
+        return ()
+    if t.tail is not None:
+        out.append(t.tail)
+    return out
+
+
+_LEAVES = (Var, Const, IntTerm)
+
+
+def _text(t, names):
+    """Term t written out in full, its named subterms by name.  A stack of
+    text pieces and subterms still to write, so depth costs no recursion."""
+    if type(t) is Var or type(t) is Const:
         return t.name
-    if isinstance(t, Const):
-        return t.name
-    if isinstance(t, IntTerm):
-        return str(t.value)
-    if isinstance(t, ObjTerm):
-        return "obj(%s,%s)" % (format_term(t.cls), format_term(t.rec))
-    if isinstance(t, Record):
-        inner = ",".join("%s:%s" % (k.name if isinstance(k, Var) else k,
-                                    format_term(v))
-                         for k, v in t.pairs)
-        if t.tail is not None:
-            return "[%s|%s]" % (inner, format_term(t.tail))
-        return "[%s]" % inner
-    if isinstance(t, ListTerm):
-        inner = ",".join(format_term(x) for x in t.items)
-        if t.tail is not None:
-            return "[%s|%s]" % (inner, format_term(t.tail))
-        return "[%s]" % inner
-    if isinstance(t, UnionTerm):
-        left = format_term(t.left)
-        if isinstance(t.left, UnionTerm):
-            left = "(%s)" % left
-        return "%s\\/%s" % (left, format_term(t.right))
-    raise TypeError("not a logic term: %r" % (t,))
+    out = []
+    todo = [t]
+    while todo:
+        item = todo.pop()
+        kind = type(item)
+        if kind is str:
+            out.append(item)
+            continue
+        while kind is Var and item.ref is not None:
+            item = item.ref
+            kind = type(item)
+        if kind is Var or kind is Const:
+            out.append(item.name)
+        elif kind is IntTerm:
+            out.append(str(item.value))
+        elif item is not t and id(item) in names:
+            out.append(names[id(item)])
+        elif kind is ObjTerm:
+            out.append("obj(")
+            todo += (")", item.rec, ",", item.cls)
+        elif kind is UnionTerm:
+            left = deref(item.left)
+            if type(left) is UnionTerm and id(left) not in names:
+                out.append("(")
+                todo += (item.right, ")\\/", left)
+            else:
+                todo += (item.right, "\\/", left)
+        else:  # a record or a list
+            parts = ["["]
+            for k, x in enumerate(item.pairs if kind is Record else item.items):
+                if kind is Record:
+                    key, x = x
+                    parts.append("," * (k > 0) + (key if type(key) is str else key.name) + ":")
+                elif k:
+                    parts.append(",")
+                parts.append(x)
+            if item.tail is not None:
+                parts += ("|", item.tail)
+            parts.append("]")
+            todo += reversed(parts)
+        t = None  # from now on a named node is written by name
+    return "".join(out)
+
+
+def _format_logic(roots):
+    """Render terms, naming the nodes a depth-first walk from each root in
+    turn meets again on its own path, T<k> in the order it meets them: the
+    text of each root, and one equation per named node.  Both walks keep
+    explicit stacks, so depth costs no recursion."""
+    roots = [deref(root) for root in roots]
+    names = {}
+    order = []
+    state = {}  # id -> True while on the walk's path, False once left
+    for root in roots:
+        if type(root) in _LEAVES or id(root) in state:
+            continue
+        state[id(root)] = True
+        stack = [(root, iter(_kids(root)))]
+        while stack:
+            node, it = stack[-1]
+            for child in it:
+                child = deref(child)
+                if type(child) in _LEAVES:  # no cycle passes through a leaf
+                    continue
+                seen = state.get(id(child))
+                if seen is None:
+                    state[id(child)] = True
+                    stack.append((child, iter(_kids(child))))
+                    break
+                if seen and id(child) not in names:
+                    names[id(child)] = "T%d" % len(names)
+                    order.append(child)
+            else:
+                state[id(node)] = False
+                stack.pop()
+    texts = [names[id(root)] if id(root) in names else _text(root, names) for root in roots]
+    return texts, ["%s = %s" % (names[id(node)], _text(node, names)) for node in order]
+
+
+def format_term_text(t):
+    """A term's text, then "where" and the equations of its named nodes."""
+    (main,), equations = _format_logic([t])
+    if equations:
+        return "%s where %s" % (main, "; ".join(equations))
+    return main
 
 
 def format_atom(a):
-    return "%s(%s)" % (a.pred, ",".join(format_term(t) for t in a.args))
+    texts, equations = _format_logic(a.args)
+    text = "%s(%s)" % (a.pred, ",".join(texts))
+    return "%s where %s" % (text, "; ".join(equations)) if equations else text
 
 
 def format_clause(c):
@@ -179,40 +280,7 @@ class Method:
     def __init__(self, name, params, body):
         self.name = name
         self.params = params
-        self.body = body
-
-
-class ThisExpr:
-    pass
-
-
-class IdentExpr:
-    def __init__(self, name):
-        self.name = name
-
-
-class IntLit:
-    def __init__(self, value):
-        self.value = value
-
-
-class NewExpr:
-    def __init__(self, cls, args):
-        self.cls = cls
-        self.args = args
-
-
-class FieldExpr:
-    def __init__(self, recv, name):
-        self.recv = recv
-        self.name = name
-
-
-class CallExpr:
-    def __init__(self, recv, name, args):
-        self.recv = recv
-        self.name = name
-        self.args = args
+        self.body = body  # post-order expression nodes, see _ProgramParser.expr
 
 
 # One pattern for term_core.scan: whitespace and comments, then a token.
@@ -321,58 +389,58 @@ class _ProgramParser(TokenParser):
         return Method(name, params, body)
 
     def expr(self):
-        e = self.primary()
-        while self.at("."):
-            self.next()
-            name = self.expect("IDENT")[1]
-            if self.at("("):
-                e = CallExpr(e, name, self.args())
-            else:
-                e = FieldExpr(e, name)
-        return e
+        """An expression as a post-order list of nodes: ("this",), ("int",),
+        ("ident", name), ("field", name), ("call", name, n) and
+        ("new", class, n, token index), each applied to the values of the
+        nodes before it: a field to one, a call to its receiver and n
+        arguments, a new to n arguments.  An LL(1) loop over an explicit
+        stack of open argument lists, so nesting costs no recursion.
 
-    def primary(self):
-        t = self.peek()
-        if t[0] == "this":
-            self.next()
-            return ThisExpr()
-        if t[0] == "new":
-            self.next()
-            cls = self.expect("IDENT")[1]
-            return NewExpr(cls.lower(), self.args())
-        if t[0] == "IDENT":
-            self.next()
-            return IdentExpr(t[1])
-        if t[0] == "INT":
-            self.next()
-            return IntLit(int(t[1]))
-        self.err("expected an expression, found %r" % (t[1] or "end of input"), t)
-
-    def args(self):
-        self.expect("(")
+        expr := primary ('.' IDENT args?)*
+        primary := 'this' | 'new' IDENT args | IDENT | INT
+        args := '(' (expr (',' expr)*)? ')'
+        """
         out = []
-        if not self.at(")"):
+        stack = []  # open argument lists: [kind, name, arguments read, ...]
+        while True:
+            t = self.next()
+            frame = None  # an argument list still to open
+            if t[0] == "new":
+                frame = ["new", self.expect("IDENT")[1].lower(), 0, t[2]]
+            elif t[0] in ("this", "INT"):
+                out.append(("int",) if t[0] == "INT" else ("this",))
+            elif t[0] == "IDENT":
+                out.append(("ident", t[1]))
+            else:
+                self.err("expected an expression, found %r" % (t[1] or "end of input"), t)
             while True:
-                out.append(self.expr())
+                if frame is not None:
+                    self.expect("(")
+                    if not self.at(")"):
+                        stack.append(frame)
+                        break
+                    self.next()
+                    out.append(tuple(frame))
+                    frame = None
+                if self.at("."):
+                    self.next()
+                    name = self.expect("IDENT")[1]
+                    if self.at("("):
+                        frame = ["call", name, 0]
+                    else:
+                        out.append(("field", name))
+                    continue
+                if not stack:
+                    return out
+                frame = stack.pop()
+                frame[2] += 1
                 if self.at(","):
                     self.next()
-                    continue
-                break
-        self.expect(")")
-        return out
-
-
-def _new_targets(expr, acc):
-    if isinstance(expr, NewExpr):
-        acc.append(expr.cls)
-        for a in expr.args:
-            _new_targets(a, acc)
-    elif isinstance(expr, FieldExpr):
-        _new_targets(expr.recv, acc)
-    elif isinstance(expr, CallExpr):
-        _new_targets(expr.recv, acc)
-        for a in expr.args:
-            _new_targets(a, acc)
+                    stack.append(frame)
+                    break
+                self.expect(")")
+                out.append(tuple(frame))
+                frame = None
 
 
 def parse_program(source):
@@ -388,13 +456,11 @@ def parse_program(source):
         if c.superclass not in declared:
             raise ProgramError("class %s extends undeclared class %s"
                                % (c.name, c.superclass))
-        targets = []
-        for m in c.methods:
-            _new_targets(m.body, targets)
-        for target in targets:
-            if target not in declared:
-                raise ProgramError("new of undeclared class %s in class %s"
-                                   % (target, c.name))
+        undeclared = [node for m in c.methods for node in m.body
+                      if node[0] == "new" and node[1] not in declared]
+        if undeclared:  # the first in the source
+            raise ProgramError("new of undeclared class %s in class %s"
+                               % (min(undeclared, key=lambda node: node[3])[1], c.name))
     parent = {c.name: c.superclass for c in program.classes}
     for start in parent:
         cur = start
@@ -519,36 +585,29 @@ def _method_clause(c, m):
         used.add(name)
         return Var(name)
 
-    def compile_expr(e):
-        if isinstance(e, IntLit):
-            return Const("int")
-        if isinstance(e, ThisExpr):
-            return this
-        if isinstance(e, IdentExpr):
-            if e.name in env:
-                return env[e.name]
+    values = []  # of the nodes read, the ones no later node has taken
+    for node in m.body:
+        kind = node[0]
+        if kind == "int":
+            values.append(Const("int"))
+        elif kind == "this":
+            values.append(this)
+        elif kind == "ident" and node[1] in env:
+            values.append(env[node[1]])
+        else:
             v = fresh()
-            atoms.append(Atom("field_acc", [this, Const(e.name), v]))
-            return v
-        if isinstance(e, FieldExpr):
-            recv = compile_expr(e.recv)
-            v = fresh()
-            atoms.append(Atom("field_acc", [recv, Const(e.name), v]))
-            return v
-        if isinstance(e, NewExpr):
-            args = [compile_expr(a) for a in e.args]
-            v = fresh()
-            atoms.append(Atom("new", [Const(e.cls), ListTerm(args), v]))
-            return v
-        if isinstance(e, CallExpr):
-            recv = compile_expr(e.recv)
-            args = [compile_expr(a) for a in e.args]
-            v = fresh()
-            atoms.append(Atom("invoke", [recv, Const(e.name), ListTerm(args), v]))
-            return v
-        raise TypeError(e)
-
-    result = compile_expr(m.body)
+            if kind == "ident" or kind == "field":
+                recv = this if kind == "ident" else values.pop()
+                atoms.append(Atom("field_acc", [recv, Const(node[1]), v]))
+            else:
+                args = ListTerm(values[len(values) - node[2]:])
+                del values[len(values) - node[2]:]
+                if kind == "new":
+                    atoms.append(Atom("new", [Const(node[1]), args, v]))
+                else:
+                    atoms.append(Atom("invoke", [values.pop(), Const(node[1]), args, v]))
+            values.append(v)
+    result, = values
     head = Atom("has_meth", [Const(c.name), Const(m.name),
                              ListTerm(param_list), result])
     return HornClause(head, atoms)

@@ -227,7 +227,7 @@ def token_kind(text, fixed, var=str.isupper, digit=str.isdecimal):
 
 class TokenParser:
     """Cursor over the tokens (kind, text, index) of a grammar, for a
-    recursive-descent parser; texts holds the token texts alone.  Token
+    parser's LL(1) loops; texts holds the token texts alone.  Token
     positions are found only for errors, which it raises as
     error("line L, col C: message")."""
 
@@ -876,15 +876,25 @@ def print_value(v):
 #         | {"kind": "obj" | "objval", "class": NAME, "fields": {NAME: expr, ...}}
 #         | {"kind": "intval", "value": INT}
 
-def term_to_json(t):
-    """JSON text of the bindings print_type or print_value writes, in the
-    same order and under the same names."""
+_JSON_DEPTH = 64  # levels a binding inlines below its top node, at most
+
+
+def term_to_dict(t):
+    """The JSON form as dicts: the bindings print_type or print_value
+    writes, in the same order and under the same names.  A node that
+    would be inlined more than _JSON_DEPTH levels deep gets a binding of
+    its own, under the next free name, so no encoder recurses deeper."""
     names, order = _named_nodes(t)
     bindings = {}
-    for node in order:
-        todo = [(node, bindings, names[node.uid])]
+    for node in order:  # order grows as deep nodes are named
+        todo = [(node, bindings, names[node.uid], 0)]
         while todo:
-            n, holder, key = todo.pop()
+            n, holder, key, depth = todo.pop()
+            if depth > _JSON_DEPTH:
+                names[n.uid] = "T%d" % len(order)
+                order.append(n)
+                holder[key] = {"kind": "ref", "name": names[n.uid]}
+                continue
             kind = type(n)
             kids = ()
             if kind is IntType:
@@ -893,19 +903,24 @@ def term_to_json(t):
                 expr = {"kind": "intval", "value": n.value}
             elif kind is UnionType:
                 expr = {"kind": "union", "left": None, "right": None}
-                kids = ((n.left, expr, "left"), (n.right, expr, "right"))
+                kids = ((n.right, expr, "right"), (n.left, expr, "left"))
             else:
                 fields = dict.fromkeys(sorted(n.fields))
                 expr = {"kind": "objval" if kind is ObjValue else "obj",
                         "class": n.class_name, "fields": fields}
-                kids = [(n.fields[f], fields, f) for f in fields]
+                kids = [(n.fields[f], fields, f) for f in reversed(fields)]
             holder[key] = expr
             for c, into, slot in kids:
                 if c.uid in names:
                     into[slot] = {"kind": "ref", "name": names[c.uid]}
                 else:
-                    todo.append((c, into, slot))
-    return _json.dumps({"root": names[t.uid], "bindings": bindings}, indent=2)
+                    todo.append((c, into, slot, depth + 1))
+    return {"root": names[t.uid], "bindings": bindings}
+
+
+def term_to_json(t):
+    """JSON text of term_to_dict(t)."""
+    return _json.dumps(term_to_dict(t), indent=2)
 
 
 _JSON_NODE = {"int": IntType, "union": UnionType, "obj": ObjType,

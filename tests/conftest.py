@@ -244,6 +244,101 @@ def rename_unify_oracle(goal, clause, trail):
     return None
 
 
+def reference_solve(query, clauses, config=None):
+    """solve as it was before its stack of choice points: the search
+    recursed through nested generators, one per goal entered and one per
+    goal sequence.  Clause selection, head matching, subsumption and
+    answer capture come from the solver, so this checks the search order,
+    the budgets and the counts.  A head's [K:V] pattern fails here on a
+    closed record of several fields whose key nothing binds, as it did."""
+    from coinfer import cosld_engine as ce
+    from coinfer.horn_compiler import Atom
+
+    class Nested(ce._Engine):
+        def prove_atom(self, atom, anc, limit):
+            self.steps += 1
+            if self.steps > self.config.max_steps:
+                self.steps_exhausted = True
+                return
+            cfg = self.config
+            node = anc
+            while node is not None:
+                anc_atom = node[0]
+                if anc_atom.pred == atom.pred and len(anc_atom.args) == len(atom.args):
+                    if cfg.coinduction_enabled:
+                        mark = len(self.trail)
+                        seen = set()
+                        if all(ce._unify(x, y, self.trail, seen)
+                               for x, y in zip(atom.args, anc_atom.args)):
+                            yield
+                        ce._undo(self.trail, mark)
+                    table = cfg.variance.get(atom.pred)
+                    if (cfg.subsumption_enabled and table is not None
+                            and len(table) == len(atom.args)):
+                        mark = len(self.trail)
+                        ok, obligations = self._subsume(anc_atom, atom, table)
+                        if ok:
+                            self.subsumptions.append((atom.pred, tuple(obligations)))
+                            yield
+                        ce._undo(self.trail, mark)
+                node = node[1]
+            depth = anc[2] if anc is not None else 0
+            if depth >= limit:
+                self.depth_hit = True
+                return
+            child = (atom, anc, depth + 1)
+            for clause in self._candidates(atom):
+                mark = len(self.trail)
+                m = ce._match_head(atom, clause.head, self.trail)
+                if m is not None:
+                    body = [Atom(b.pred, [ce._instance(a, m) for a in b.args])
+                            for b in clause.body]
+                    yield from self.prove_seq(body, 0, child, limit)
+                ce._undo(self.trail, mark)
+
+        def prove_seq(self, atoms, i, anc, limit):
+            if i == len(atoms):
+                yield
+                return
+            if not self._bound_fact(atoms[i]):
+                for j in range(i + 1, len(atoms)):
+                    if self._bound_fact(atoms[j]):
+                        atoms = atoms[:i] + [atoms[j]] + atoms[i:j] + atoms[j + 1:]
+                        break
+            for _ in self.prove_atom(atoms[i], anc, limit):
+                yield from self.prove_seq(atoms, i + 1, anc, limit)
+
+    if config is None:
+        config = ce.SolverConfig()
+    atom = query.atom if isinstance(query, ce.Query) else query
+    engine = Nested(clauses, config)
+    qvars = list(ce._vars(atom.args))
+    answers, complete, depth_hit_any, final_hit = [], False, False, False
+    for limit in ce._stages(config):
+        engine.depth_hit = engine.steps_exhausted = False
+        stage_answers = []
+        cap_hit = False
+        try:
+            for _ in engine.prove_atom(atom, None, limit):
+                ans = ce._capture(atom, qvars)
+                if not any(ce._atoms_equal(ans.atom, old.atom) for old in stage_answers):
+                    stage_answers.append(ans)
+                    if len(stage_answers) >= config.max_answers:
+                        cap_hit = True
+                        break
+        finally:
+            ce._undo(engine.trail, 0)
+        pruned = engine.depth_hit or engine.steps_exhausted
+        depth_hit_any = depth_hit_any or pruned
+        clean = not pruned and not cap_hit
+        if stage_answers or clean:
+            answers, complete, final_hit = stage_answers, clean, pruned
+            break
+    else:
+        final_hit, complete = depth_hit_any, False
+    return ce.SolveResult(answers, complete, final_hit, engine.steps, engine.subsumptions)
+
+
 def random_type(rng, size):
     """Random connected type graph with at most `size` nodes (cycles allowed)."""
     kinds = [rng.choice(("int", "obj", "union")) for _ in range(size)]

@@ -38,7 +38,7 @@ from coinfer.cosld_engine import (
 from coinfer.term_core import equal, type_from_source
 from coinfer.subtyping import equivalent, subtype
 
-from conftest import number_types, rename_unify_oracle
+from conftest import number_types, reference_solve, rename_unify_oracle
 
 ZERO_SUCC = """
 class Zero {
@@ -375,13 +375,15 @@ def test_bound_key_looked_up_in_open_record(key, expect):
         assert equal(got, type_from_source("T = %s; root T;" % expect))
 
 
-def test_unbound_key_over_multi_field_record_unsupported():
-    # a [K:V] pattern whose key nothing binds still matches only a
-    # one-field record: the wider record fails finitely
+def test_unbound_key_over_multi_field_record_enumerates_fields():
+    # a [K:V] pattern whose key nothing binds meets a closed record of two
+    # fields: one way per field, in key order; a one-field record gives one
     rec = deref(type_to_logic(type_from_source(PAIR_TYPE)).rec)
     clauses = clauses_for(PAIR)
     res = solve(Atom("rec_acc", [rec, Var("K"), Var("V")]), clauses, SolverConfig())
-    assert res.answers == [] and res.complete
+    assert res.complete
+    assert [format_answer(a) for a in res.answers] == ["K = fst\nV = int",
+                                                       "K = snd\nV = obj(k,[])"]
     one = Record([("fst", type_to_logic(type_from_source("T = int; root T;")))])
     res = solve(Atom("rec_acc", [one, Var("K"), Var("V")]), clauses, SolverConfig())
     assert [deref(a.bindings["K"]).name for a in res.answers] == ["fst"]
@@ -775,3 +777,108 @@ def test_head_matching_agrees_with_rename_and_unify(monkeypatch):
         res = solve(parse_query(query), clauses, SolverConfig())
         assert res.answers, query
     assert outcomes.count(True) > 500 and outcomes.count(False) > 100
+
+
+def _outcome(res):
+    return ([format_answer(a) for a in res.answers], res.complete, res.depth_hit, res.steps,
+            [(pred, len(obligations)) for pred, obligations in res.subsumptions])
+
+
+def test_goal_stack_agrees_with_nested_generators():
+    # the stack of choice points finds the same answers in the same order,
+    # with the same budgets hit, steps taken and subsumptions made, as the
+    # nested generators it replaced
+    configs = [SolverConfig(), SolverConfig(subsumption_enabled=False, max_depth=16),
+               SolverConfig(max_steps=40), SolverConfig(max_answers=1)]
+    cases = [(clauses_for(program), parse_query(query), cfg)
+             for program, query in README_QUERIES
+             + [case for seed in range(3) for case in box_fwd_queries(seed)]
+             for cfg in configs]
+    cases.append((clauses_for(forwarding_program(8)),
+                   parse_query("invoke(obj(c7,[]), m, [int], R)"), SolverConfig(max_depth=512)))
+    cases += [(clauses_for(ZERO_SUCC), parse_query(query), SolverConfig(max_depth=depth))
+              for query in ("invoke(obj(zero,[]), add, [X], R)", "new(succ, [N], X)",
+                            "EVN = obj(zero,[]) \\/ obj(succ,[pred: ODD]); "
+                            "ODD = obj(succ,[pred: EVN]); invoke(ODD, add, [EVN], R)",
+                            "E = obj(zero, []) \\/ obj(succ, [pred: obj(succ, [pred: E])]); "
+                            "O = obj(succ, [pred: obj(zero, [])]) \\/ "
+                            "obj(succ, [pred: obj(succ, [pred: O])]); invoke(E, add, [O], R)")
+              for depth in (4, 16, 64)]
+    rng = random.Random(20)
+    for src in [random_class_program(rng) for _ in range(4)]:
+        clauses = clauses_for(src)
+        universe = sorted({a.name for c in clauses for a in c.head.args if type(a) is Const})
+        for pred, arity in sorted(DATALOG_PREDS.items()):
+            for combo in itertools.product(universe, repeat=arity):
+                cases += [(clauses, ground(pred, *combo), cfg)
+                          for cfg in (sld_config(), SolverConfig())]
+    assert len(cases) > 1000
+    for clauses, query, cfg in cases:
+        assert _outcome(solve(query, clauses, cfg)) == _outcome(reference_solve(query, clauses, cfg))
+
+
+# ---------------------------------------------------------------------------
+# walkers and parsers on terms deeper than the recursion limit
+
+DEEP = 10_000
+
+
+def deep_term(leaf, n=DEEP):
+    """obj(a,[f:obj(a,[f: ... leaf ...])]), n objects deep."""
+    for _ in range(n):
+        leaf = ObjTerm(Const("a"), Record([("f", leaf)]))
+    return leaf
+
+
+DEEP_TEXT = "obj(a,[f:" * DEEP + "int" + "])" * DEEP
+
+
+def test_deep_terms_exceed_the_recursion_limit():
+    assert sys.getrecursionlimit() < DEEP
+
+
+def test_unify_rational_deep():
+    x = Var("X")
+    assert unify_rational(deep_term(x), deep_term(Const("int")))
+    assert deref(x).name == "int"
+    assert not unify_rational(deep_term(Const("int")), deep_term(IntTerm(1)))
+
+
+def test_copy_term_deep():
+    x = Var("X")
+    t = deep_term(x)
+    assert unify_rational(x, Const("int"))
+    copy = copy_term(t)
+    for _ in range(DEEP):
+        copy = copy.rec.pairs[0][1]
+    assert type(copy) is Const and copy.name == "int"
+
+
+def test_logic_equal_deep():
+    assert logic_equal(deep_term(Const("int")), deep_term(Const("int")))
+    assert not logic_equal(deep_term(Const("int")), deep_term(Var("X")))
+
+
+def test_logic_to_type_deep():
+    t = logic_to_type(deep_term(Const("int")))
+    assert equal(t, type_from_source("T = %s; root T" % DEEP_TEXT))
+    assert logic_to_type(deep_term(Var("X"))) is None
+
+
+def test_format_term_text_deep():
+    assert format_term_text(deep_term(Const("int"))) == DEEP_TEXT
+
+
+def test_query_parser_deep():
+    atom = parse_query("p([%s|Q], X)" % DEEP_TEXT).atom
+    assert format_term_text(ListTerm(atom.args)) == "[[%s|Q],X]" % DEEP_TEXT
+
+
+def test_program_parser_deep():
+    program = parse_program("class A { x; A(x) { this.x = x; } m() { return %s1%s.x; } }"
+                            % ("new A(" * DEEP, ")" * DEEP))
+    [clause] = [c for c in compile_program(program) if c.head.pred == "has_meth"
+                and isinstance(c.head.args[0], Const)]
+    assert len(clause.body) == DEEP + 1
+    assert [b.pred for b in clause.body[-2:]] == ["new", "field_acc"]
+    assert format_term_text(clause.head.args[-1]) == "V%d" % DEEP
