@@ -31,7 +31,6 @@ budget is reported as inconclusive (depth_hit), never as failure.
 
 import re
 from collections import Counter
-from functools import partial
 
 from .horn_compiler import (
     Atom,
@@ -48,8 +47,8 @@ from .horn_compiler import (
 )
 from .subtyping import subtype
 from .term_core import (
-    IntType, ObjType, ParseError, TermError, TokenParser, UnionType,
-    link_equations, parse_equations, token_kind, token_position,
+    IntType, ObjType, ParseError, TermError, TokenParser, UnionType, canonical_images,
+    canonicalize, link_equations, parse_equations, token_kind, token_position,
 )
 
 
@@ -190,8 +189,11 @@ _SEQ = (ListTerm, Record)
 def _unify(a, b, trail, seen):
     """Unify a and b over rational trees: a loop over term pairs, with an
     explicit stack of the pairs still to do, each pair of compound nodes
-    entered once (seen), so cycles and depth cost no recursion.  A spine's
-    tail bindings sit below its item pairs on the stack and are made after
+    entered once (seen), so cycles and depth cost no recursion.  Two
+    stamped nodes are ground, and unify exactly when they are bisimilar,
+    that is when their stamps are one canonical node (Courcelle,
+    "Fundamental properties of infinite trees", TCS 1983).  A spine's tail
+    bindings sit below its item pairs on the stack and are made after
     them."""
     todo = []
     while True:
@@ -211,15 +213,19 @@ def _unify(a, b, trail, seen):
                 return False
         elif (pair := (id(a), id(b))) not in seen:
             seen.add(pair)
-            if kind is UnionTerm and type(b) is UnionTerm:
-                todo.append((a.right, b.right))
-                a, b = a.left, b.left
-                continue
-            if kind is ObjTerm and type(b) is ObjTerm:
-                todo.append((a.rec, b.rec))
-                a, b = a.cls, b.cls
-                continue
-            if not (kind in _SEQ and type(b) in _SEQ and _unify_rows(a, b, todo, trail)):
+            if (kind is UnionTerm or kind is ObjTerm) and type(b) is kind:
+                stamp = a.stamp
+                if stamp is None or b.stamp is None:
+                    if kind is UnionTerm:
+                        todo.append((a.right, b.right))
+                        a, b = a.left, b.left
+                    else:
+                        todo.append((a.rec, b.rec))
+                        a, b = a.cls, b.cls
+                    continue
+                if stamp is not b.stamp:
+                    return False
+            elif not (kind in _SEQ and type(b) in _SEQ and _unify_rows(a, b, todo, trail)):
                 return False
         while todo:
             a, b = todo.pop()
@@ -453,9 +459,16 @@ def _atoms_equal(a, b):
 
 def logic_to_type(t):
     """Convert a ground logic term into a type graph; None when the term
-    contains variables, open rows, or non-type constructors.  Nodes are
-    made in the order of a depth-first walk and linked in a second pass,
-    as type_to_logic does, so depth costs no recursion."""
+    contains variables, open rows, or non-type constructors.  The graph is
+    new, stamped terms included, so a caller may change it."""
+    return _to_type(t, False)
+
+
+def _to_type(t, stamped):
+    """logic_to_type; with stamped, a stamped term is its stamp, a
+    canonical node whose term is not walked.  Nodes are made in the order
+    of a depth-first walk and linked in a second pass, as type_to_logic
+    does, so depth costs no recursion."""
     memo = {}
     made = []  # nodes made, holding their terms' children until linked
     todo = [t]
@@ -466,17 +479,20 @@ def logic_to_type(t):
         kind = type(s)
         if kind is Const and s.name == "int":
             node = IntType()
+        elif kind is not UnionTerm and kind is not ObjTerm:
+            return None
+        elif stamped and s.stamp is not None:
+            memo[id(s)] = s.stamp
+            continue
         elif kind is UnionTerm:
             node = UnionType(s.left, s.right)
             todo += (s.right, s.left)
-        elif kind is ObjTerm:
+        else:
             cls, norm = deref(s.cls), _norm_rec(s.rec)
             if type(cls) is not Const or norm is _FAIL or norm[1] or norm[2] is not None:
                 return None
             node = ObjType(cls.name, norm[0])
             todo += reversed(node.fields.values())
-        else:
-            return None
         memo[id(s)] = node
         made.append(node)
     for node in made:
@@ -487,12 +503,14 @@ def logic_to_type(t):
     return memo[id(deref(t))]
 
 
-def type_to_logic(t, memo=None):
+def type_to_logic(t, memo=None, images=None):
     """Convert a type graph into a ground logic term, preserving cycles.
 
     Calls that pass the same memo dict share the terms of shared nodes.
-    Terms are made in one walk and linked in a second, so a deep type
-    costs no recursion."""
+    With images, a map from node uid to canonical node such as
+    canonical_images gives, each obj and union term is stamped with its
+    node's image.  Terms are made in one walk and linked in a second, so a
+    deep type costs no recursion."""
     if memo is None:
         memo = {}
     made = []  # (type node, its term) still to link to the children's terms
@@ -501,13 +519,14 @@ def type_to_logic(t, memo=None):
         n = todo.pop()
         if id(n) in memo:
             continue
-        if isinstance(n, IntType):
+        kind = type(n)
+        if kind is IntType:
             memo[id(n)] = Const("int")
             continue
-        if isinstance(n, UnionType):
+        if kind is UnionType:
             term = UnionTerm(None, None)
             todo += (n.left, n.right)
-        elif isinstance(n, ObjType):
+        elif kind is ObjType:
             term = ObjTerm(Const(n.class_name), None)
             todo.extend(n.fields.values())
         else:
@@ -515,10 +534,12 @@ def type_to_logic(t, memo=None):
         memo[id(n)] = term
         made.append((n, term))
     for n, term in made:
-        if isinstance(n, UnionType):
+        if type(n) is UnionType:
             term.left, term.right = memo[id(n.left)], memo[id(n.right)]
         else:
             term.rec = Record([(k, memo[id(v)]) for k, v in sorted(n.fields.items())])
+        if images is not None:
+            term.stamp = images[n.uid]
     return memo[id(t)]
 
 
@@ -543,12 +564,13 @@ def _vars(terms):
             stack += reversed(_kids(t))
 
 
-# _instance and _match recurse, but only on a stored clause's terms, which
-# compile_program builds at most 3 deep: obj(C, [f:P|R]).
-
 def _instance(t, m):
     """Clause term t with each variable replaced by its term in m; a
-    variable not in m yet gets a fresh one of the same name, added to m."""
+    variable not in m yet gets a fresh one of the same name, added to m.
+    As in copy_term, each copy is made holding its source's children and
+    relinked when its turn comes, so depth costs no recursion, and shared
+    or cyclic structure is copied once.  An empty closed list or record
+    holds no variable and is not copied."""
     kind = type(t)
     if kind is Var:
         term = m.get(t)
@@ -557,18 +579,58 @@ def _instance(t, m):
         return term
     if kind is Const or kind is IntTerm:
         return t
-    if kind is ObjTerm:
-        return ObjTerm(_instance(t.cls, m), _instance(t.rec, m))
-    if kind is UnionTerm:
-        return UnionTerm(_instance(t.left, m), _instance(t.right, m))
-    if kind is Record:
-        pairs = [(k if isinstance(k, str) else _instance(k, m), _instance(v, m))
-                 for k, v in t.pairs]
-        return Record(pairs, None if t.tail is None else _instance(t.tail, m))
-    if kind is ListTerm:
-        items = [_instance(x, m) for x in t.items]
-        return ListTerm(items, None if t.tail is None else _instance(t.tail, m))
-    raise TypeError(t)
+    copies = {}
+    made = []
+    root = _sub(t, m, copies, made)
+    for c in made:  # made grows as copies are met
+        kind = type(c)
+        if kind is ListTerm:
+            c.items = [_sub(x, m, copies, made) for x in c.items]
+            if c.tail is not None:
+                c.tail = _sub(c.tail, m, copies, made)
+        elif kind is ObjTerm:
+            c.cls, c.rec = _sub(c.cls, m, copies, made), _sub(c.rec, m, copies, made)
+        elif kind is Record:
+            c.pairs = [(k if type(k) is str else _sub(k, m, copies, made),
+                        _sub(v, m, copies, made)) for k, v in c.pairs]
+            if c.tail is not None:
+                c.tail = _sub(c.tail, m, copies, made)
+        else:
+            c.left, c.right = _sub(c.left, m, copies, made), _sub(c.right, m, copies, made)
+    return root
+
+
+def _sub(x, m, copies, made):
+    """_instance's term for a subterm x of a clause term: a variable's term
+    in m, a constant itself, or x's copy in copies, made holding x's
+    children and added to made the first time x is met."""
+    kind = type(x)
+    if kind is Var:
+        term = m.get(x)
+        if term is None:
+            term = m[x] = Var(x.name)
+        return term
+    if kind is Const or kind is IntTerm:
+        return x
+    c = copies.get(id(x))
+    if c is None:
+        if kind is ListTerm:
+            if not x.items and x.tail is None:
+                return x
+            c = ListTerm(x.items, x.tail)
+        elif kind is ObjTerm:
+            c = ObjTerm(x.cls, x.rec)
+        elif kind is Record:
+            if not x.pairs and x.tail is None:
+                return x
+            c = Record(x.pairs, x.tail)
+        elif kind is UnionTerm:
+            c = UnionTerm(x.left, x.right)
+        else:
+            raise TypeError(x)
+        copies[id(x)] = c
+        made.append(c)
+    return c
 
 
 def _match(h, g, m, trail, seen):
@@ -578,36 +640,55 @@ def _match(h, g, m, trail, seen):
     occurrence takes g's subterm (an unbound goal variable is bound to a
     fresh variable, as unification with a renamed one binds it), a later
     one unifies with it.  Structure meeting an unbound goal variable is
-    built from m and bound to it; a list or record is built and unified."""
-    kind = type(h)
-    if kind is Var:
-        term = m.get(h)
-        if term is not None:
-            return _unify(g, term, trail, seen)
-        g = deref(g)
-        if type(g) is Var:
-            term = Var(h.name)
-            _bind(trail, g, term)
-            g = term
-        m[h] = g
-        return True
-    if kind is Record or kind is ListTerm:
-        return _unify(g, _instance(h, m), trail, seen)
-    g = deref(g)
-    if type(g) is Var:
-        _bind(trail, g, _instance(h, m))
-        return True
-    if type(g) is not kind:
-        return False
-    if kind is ObjTerm:
-        return (_match(h.cls, g.cls, m, trail, seen)
-                and _match(h.rec, g.rec, m, trail, seen))
-    if kind is UnionTerm:
-        return (_match(h.left, g.left, m, trail, seen)
-                and _match(h.right, g.right, m, trail, seen))
-    if kind is Const:
-        return g.name == h.name
-    return g.value == h.value
+    built from m and bound to it; a list or record is built and unified.
+    The pairs are taken from an explicit stack, left to right, and each
+    pair of obj or union nodes is entered once, so neither depth nor a
+    cycle costs recursion."""
+    todo = entered = None  # made for the first pair of obj or union nodes
+    while True:
+        kind = type(h)
+        if kind is Var:
+            term = m.get(h)
+            if term is not None:
+                if not _unify(g, term, trail, seen):
+                    return False
+            else:
+                g = deref(g)
+                if type(g) is Var:
+                    term = Var(h.name)
+                    _bind(trail, g, term)
+                    g = term
+                m[h] = g
+        elif kind is Record or kind is ListTerm:
+            if not _unify(g, _instance(h, m), trail, seen):
+                return False
+        else:
+            g = deref(g)
+            if type(g) is Var:
+                _bind(trail, g, _instance(h, m))
+            elif type(g) is not kind:
+                return False
+            elif kind is Const:
+                if g.name != h.name:
+                    return False
+            elif kind is IntTerm:
+                if g.value != h.value:
+                    return False
+            else:
+                if todo is None:
+                    todo, entered = [], set()
+                if (pair := (id(h), id(g))) not in entered:
+                    entered.add(pair)
+                    if kind is ObjTerm:
+                        todo.append((h.rec, g.rec))
+                        h, g = h.cls, g.cls
+                    else:
+                        todo.append((h.right, g.right))
+                        h, g = h.left, g.left
+                    continue
+        if not todo:
+            return True
+        h, g = todo.pop()
 
 
 def _is_lookup(h):
@@ -638,10 +719,10 @@ def _match_head(goal, head, trail):
     None when the head does not match; bindings are left on the trail."""
     m = {}
     seen = set()
-    later = []
+    later = ()
     for h, g in zip(head.args, goal.args):
-        if _is_lookup(h):
-            later.append((_instance(h, m), g))
+        if type(h) is Record and _is_lookup(h):
+            later += ((_instance(h, m), g),)
         elif not _match(h, g, m, trail, seen):
             return None
     for pattern, g in later:
@@ -651,8 +732,10 @@ def _match_head(goal, head, trail):
 
 
 def _ground_head(head):
-    return (all(type(a) is Const for a in head.args)
-            or next(_vars(head.args), None) is None)
+    for a in head.args:
+        if type(a) is not Const:
+            return next(_vars(head.args), None) is None
+    return True
 
 
 def _first_key(t):
@@ -660,12 +743,36 @@ def _first_key(t):
     constant's name, the constructor class of an obj, union or integer
     term, or None for a variable, list or record (which may unify with
     terms of other shapes)."""
-    t = deref(t)
-    if isinstance(t, Const):
+    while type(t) is Var and t.ref is not None:
+        t = t.ref
+    kind = type(t)
+    if kind is Const:
         return t.name
-    if isinstance(t, (ObjTerm, UnionTerm, IntTerm)):
-        return type(t)
+    if kind is ObjTerm or kind is UnionTerm or kind is IntTerm:
+        return kind
     return None
+
+
+def _goal_key(atom):
+    """Key of a goal's first argument, for the ancestor check: the stamp
+    of a stamped term, else the constant's name, the integer, the class of
+    an obj or union term, or None for a variable, list or record.  Two
+    goals whose keys do not meet (_KEY_KIND) cannot unify."""
+    if not atom.args:
+        return None
+    t = deref(atom.args[0])
+    kind = type(t)
+    if kind is ObjTerm or kind is UnionTerm:
+        return kind if t.stamp is None else t.stamp
+    if kind is Const:
+        return t.name
+    if kind is IntTerm:
+        return t.value
+    return None
+
+
+# the term class of a stamp: a stamped term meets an unstamped one of its class
+_KEY_KIND = {ObjType: ObjTerm, UnionType: UnionTerm}
 
 
 class _Engine:
@@ -675,29 +782,42 @@ class _Engine:
         # clauses with that key or none}, the clauses with no key), each
         # list in clause order.
         self.index = {}
+        # predicates defined by ground facts alone (class, extends, dec_*,
+        # not_dec_*): a goal on one with constant arguments binds nothing
+        rules = set()  # the other predicates
+        # clause -> an argument of its head that is a [K:V] pattern
+        self.lookups = {}
         for c in clauses:
-            every, by_key, unkeyed = self.index.setdefault(
-                (c.head.pred, len(c.head.args)), ([], {}, []))
+            args = c.head.args
+            pk = (c.head.pred, len(args))
+            entry = self.index.get(pk)
+            if entry is None:
+                entry = self.index[pk] = ([], {}, [])
+            every, by_key, unkeyed = entry
             every.append(c)
-            key = _first_key(c.head.args[0]) if c.head.args else None
+            key = _first_key(args[0]) if args else None
             if key is None:
                 unkeyed.append(c)
                 for into in by_key.values():
                     into.append(c)
             else:
-                by_key.setdefault(key, list(unkeyed)).append(c)
+                into = by_key.get(key)
+                if into is None:
+                    into = by_key[key] = list(unkeyed)
+                into.append(c)
+            if c.body or not _ground_head(c.head):
+                rules.add(pk)
+                for i, h in enumerate(args):
+                    if type(h) is Record and _is_lookup(h):
+                        self.lookups[c] = i
         preds = {p for p, _ in self.index}
         for pred in config.variance:
             if pred not in preds:
                 raise EngineError(
                     "variance entry for undeclared predicate %r" % pred)
-        # predicates defined by ground facts alone (class, extends, dec_*,
-        # not_dec_*): a goal on one with constant arguments binds nothing
-        self.fact_preds = {pk for pk, (every, _, _) in self.index.items()
-                           if all(not c.body and _ground_head(c.head) for c in every)}
-        # clause -> an argument of its head that is a [K:V] pattern
-        self.lookups = {c: i for c in clauses for i, h in enumerate(c.head.args)
-                        if type(h) is Record and _is_lookup(h)}
+        self.fact_preds = self.index.keys() - rules
+        self.fact_goals = {}  # clause -> the positions of its body goals on fact_preds
+        self.verdicts = {}  # (canonical small, canonical large) -> subtype verdict
         self.trail = []
         self.steps = 0
         self.subsumptions = []
@@ -722,7 +842,9 @@ class _Engine:
         """Whether small sits below large: closed lists of one length item
         by item, ground types by subtyping (each holding pair goes to
         obligations), and anything else by unification.  The pairs are
-        taken from an explicit stack, left to right."""
+        taken from an explicit stack, left to right.  A stamped term
+        converts to its stamp, and the verdict on each pair of canonical
+        types is kept for the solve."""
         todo = [(small, large)]
         while todo:
             small, large = todo.pop()
@@ -733,9 +855,13 @@ class _Engine:
                     and len(ns[0]) == len(nl[0])):
                 todo += reversed(list(zip(ns[0], nl[0])))
                 continue
-            st, lt = logic_to_type(s), logic_to_type(l)
+            st, lt = _to_type(s, True), _to_type(l, True)
             if st is not None and lt is not None:
-                if not subtype(st, lt):
+                pair = (canonicalize(st), canonicalize(lt))
+                holds = self.verdicts.get(pair)
+                if holds is None:
+                    holds = self.verdicts[pair] = subtype(*pair)
+                if not holds:
                     return False
                 obligations.append((st, lt))
             elif not _unify(small, large, self.trail, set()):
@@ -764,26 +890,40 @@ class _Engine:
         bindings on the trail, and undoes them when resumed.  A goal closes
         a cycle by unifying with an ancestor or being subsumed by one, and
         otherwise continues with the renamed body of each matching clause,
-        whose goals have it as their nearest ancestor."""
+        whose goals have it as their nearest ancestor.
+
+        An ancestor is a node (atom, next ancestor, depth, key of the
+        atom's first argument).  One whose key does not meet the goal's
+        is skipped without unifying, and without trying subsumption when
+        the first argument is invariant; nearest first either way."""
         cfg, trail = self.config, self.trail
+        pred, arity = atom.pred, len(atom.args)
+        key = _goal_key(atom)
+        subsume = None  # found with the first ancestor on pred
         node = anc
         while node is not None:
             anc_atom = node[0]
-            if anc_atom.pred == atom.pred and len(anc_atom.args) == len(atom.args):
-                if cfg.coinduction_enabled:
+            if anc_atom.pred == pred and len(anc_atom.args) == arity:
+                if subsume is None:
+                    table = cfg.variance.get(pred)
+                    subsume = (cfg.subsumption_enabled and table is not None
+                               and len(table) == arity)
+                    keyed = subsume and table[0] == "inv"  # it unifies the first arguments
+                other = node[3]
+                meet = (other is key or other is None or key is None or other == key
+                        or _KEY_KIND.get(type(other)) is key or _KEY_KIND.get(type(key)) is other)
+                if meet and cfg.coinduction_enabled:
                     mark = len(trail)
                     seen = set()
                     if all(_unify(x, y, trail, seen)
                            for x, y in zip(atom.args, anc_atom.args)):
                         yield then
                     _undo(trail, mark)
-                table = cfg.variance.get(atom.pred)
-                if (cfg.subsumption_enabled and table is not None
-                        and len(table) == len(atom.args)):
+                if subsume and (meet or not keyed):
                     mark = len(trail)
                     ok, obligations = self._subsume(anc_atom, atom, table)
                     if ok:
-                        self.subsumptions.append((atom.pred, tuple(obligations)))
+                        self.subsumptions.append((pred, tuple(obligations)))
                         yield then
                     _undo(trail, mark)
             node = node[1]
@@ -791,7 +931,7 @@ class _Engine:
         if depth >= limit:
             self.depth_hit = True
             return
-        child = (atom, anc, depth + 1)
+        child = (atom, anc, depth + 1, key)
         for clause in self._candidates(atom):
             i = self.lookups.get(clause)
             for goal in (atom,) if i is None else _field_goals(atom, i):
@@ -800,7 +940,15 @@ class _Engine:
                 if m is not None:
                     body = [Atom(b.pred, [_instance(a, m) for a in b.args])
                             for b in clause.body]
-                    yield (body, 0, child, then) if body else then
+                    if not body:
+                        yield then
+                    else:
+                        facts = self.fact_goals.get(clause)
+                        if facts is None:
+                            facts = self.fact_goals[clause] = tuple(
+                                [j for j, b in enumerate(body)
+                                 if (b.pred, len(b.args)) in self.fact_preds])
+                        yield body, 0, child, then, facts
                 _undo(trail, mark)
 
     def _proofs(self, goal, limit):
@@ -808,27 +956,31 @@ class _Engine:
         loop runs a frame's next goal, pushing that goal's choice point,
         and resumes the newest choice point for the frame to run next."""
         choices = []
-        frame = ([goal], 0, None, None)  # goals, next index, ancestors, continuation
+        # goals, next index, ancestors, continuation, and the positions of
+        # the goals on fact predicates, ascending
+        frame = ([goal], 0, None, None, ())
         while True:
             if frame is None:
                 yield
             else:
-                goals, i, anc, then = frame
+                goals, i, anc, then, facts = frame
                 # Prove a bound ground-fact goal first.  It binds nothing,
                 # succeeds at most once per matching fact and is never its
                 # own ancestor, so the answers and their order stay the same;
                 # a failing one cuts the branch before the goals it jumped
-                # over are explored.
-                if not self._bound_fact(goals[i]):
-                    for j in range(i + 1, len(goals)):
-                        if self._bound_fact(goals[j]):
+                # over are explored.  Only goals on fact predicates are read.
+                if facts and facts[-1] > i and not self._bound_fact(goals[i]):
+                    for j in facts:
+                        if j > i and self._bound_fact(goals[j]):
                             goals = goals[:i] + [goals[j]] + goals[i:j] + goals[j + 1:]
+                            facts = tuple([p + 1 if p < j else p for p in facts
+                                           if p >= i and p != j])
                             break
                 self.steps += 1
                 if self.steps > self.config.max_steps:
                     self.steps_exhausted = True
                 else:
-                    after = (goals, i + 1, anc, then) if i + 1 < len(goals) else then
+                    after = (goals, i + 1, anc, then, facts) if i + 1 < len(goals) else then
                     choices.append(self._ways(goals[i], anc, limit, after))
             while choices:
                 frame = next(choices[-1], _FAIL)
@@ -930,8 +1082,15 @@ _QKINDS = {t: t for t in ("\\/", ":-", "(", ")", "[", "]", ",", ":", ";", "=", "
 _QKINDS[""] = "EOF"
 
 
-_query_kind = partial(token_kind, fixed=_QKINDS, var=lambda c: c.isupper() or c == "_",
-                      digit="0123456789".__contains__)
+_DIGIT = "0123456789".__contains__
+
+
+def _query_var(c):
+    return c.isupper() or c == "_"
+
+
+def _query_kind(text):
+    return _QKINDS.get(text) or token_kind(text, _QKINDS, _query_var, _DIGIT)
 
 
 class _QueryParser(TokenParser):
@@ -1097,7 +1256,9 @@ def parse_query(source):
     parser.vars = {}
     types = parser.prelude()
     memo = {}  # the names share one graph, and so do their terms
-    logic = {name: type_to_logic(t, memo) for name, t in types.items()}
+    # one canonicalization for the whole graph stamps every term
+    images = canonical_images(list(types.values())) if types else None
+    logic = {name: type_to_logic(t, memo, images) for name, t in types.items()}
     atom = parser.atom(logic)
     return Query(atom, types, parser.vars)
 

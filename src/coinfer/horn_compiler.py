@@ -18,7 +18,6 @@ terms, which clauses and solver answers share, are defined here too.
 """
 
 import re
-from functools import partial
 
 from .term_core import TokenParser, token_kind
 
@@ -62,11 +61,15 @@ class IntTerm:
 
 
 class ObjTerm:
-    __slots__ = ("cls", "rec")
+    """obj(cls, rec).  stamp is None, or for a ground term made from a
+    type node, the canonical TypeTerm of that node; the solver reads it."""
+
+    __slots__ = ("cls", "rec", "stamp")
 
     def __init__(self, cls, rec):
         self.cls = cls
         self.rec = rec
+        self.stamp = None
 
 
 class Record:
@@ -89,11 +92,14 @@ class ListTerm:
 
 
 class UnionTerm:
-    __slots__ = ("left", "right")
+    """left \\/ right; stamp as for ObjTerm."""
+
+    __slots__ = ("left", "right", "stamp")
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
+        self.stamp = None
 
 
 class Atom:
@@ -291,8 +297,16 @@ _PKINDS = {t: t for t in ("{", "}", "(", ")", ";", ",", ".", "=",
 _PKINDS[""] = "EOF"
 
 
-_program_kind = partial(token_kind, fixed=_PKINDS, var=lambda c: False,
-                        digit="0123456789".__contains__)
+_DIGIT = "0123456789".__contains__
+
+
+def _no_var(c):
+    return False
+
+
+def _program_kind(text):
+    """The program grammar has no variables: every name is an IDENT."""
+    return _PKINDS.get(text) or token_kind(text, _PKINDS, _no_var, _DIGIT)
 
 
 class _ProgramParser(TokenParser):

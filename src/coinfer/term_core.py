@@ -116,12 +116,21 @@ _CHILDREN = {
     IntValue: lambda node: (),
     ObjValue: lambda node: tuple([node.fields[f] for f in sorted(node.fields)]),
 }
-_SHAPE = {  # local constructor signature, ignoring children
-    IntType: lambda node: ("int",),
-    UnionType: lambda node: ("union",),
-    ObjType: lambda node: ("obj", node.class_name, tuple(sorted(node.fields))),
-    IntValue: lambda node: ("intval", node.value),
-    ObjValue: lambda node: ("objval", node.class_name, tuple(sorted(node.fields))),
+
+
+def _obj_local(tag):
+    def local(node):
+        names = sorted(node.fields)
+        return (tag, node.class_name, tuple(names)), tuple([node.fields[f] for f in names])
+    return local
+
+
+_LOCAL = {  # (local constructor signature, ignoring children; the children)
+    IntType: lambda node: (("int",), ()),
+    UnionType: lambda node: (("union",), (node.left, node.right)),
+    ObjType: _obj_local("obj"),
+    IntValue: lambda node: (("intval", node.value), ()),
+    ObjValue: _obj_local("objval"),
 }
 
 
@@ -237,9 +246,10 @@ class TokenParser:
         kinds = {t: kind(t) for t in set(self.texts)}  # names and symbols recur
         self.toks = [(kinds[t], t, k) for k, t in enumerate(self.texts)]
         self.i = 0
-        for tok in self.toks:
-            if tok[0] is None:
-                self.err("unexpected character %r" % tok[1][0], tok)
+        if None in kinds.values():
+            for tok in self.toks:
+                if tok[0] is None:
+                    self.err("unexpected character %r" % tok[1][0], tok)
 
     def peek(self, ahead=0):
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
@@ -704,9 +714,11 @@ def _attach(node, shape, kids):
 
 def _intern(shape, kids):
     """The canonical node of a shape over canonical children, interned
-    under the key _serialize_block gives a one-block component of the
-    quotient without a self-loop."""
-    key = (("n", shape, len(kids)),) + tuple([("x", c.uid) for c in kids])
+    under its local key, the shape and the children's uids.  Every
+    canonical node is found under its local key, the nodes of a cycle
+    too; a component's key, which _scc_key gives, starts with a tuple
+    tagged "n" and is never a local key."""
+    key = (shape, *[c.uid for c in kids])
     hit = _canonical.get(key)
     if hit is None:
         hit = _canonical[key] = _attach(_NODE[shape[0]](*shape[1:2]), shape, kids)
@@ -714,50 +726,66 @@ def _intern(shape, kids):
     return hit
 
 
-def canonicalize(t):
-    """Return the canonical node for t's bisimulation class.
-
-    Canonical nodes are interned globally: bisimilar inputs map to the
-    identical node object, so node identity after canonicalization is
-    bisimulation equality.  An acyclic closure is hash-consed bottom-up
-    with no partition (Filliatre & Conchon, "Type-safe modular
-    hash-consing", 2006).  A closure with a cycle is minimized by
-    _partition, and each component of the quotient is interned under one
-    key.
-    """
-    if t.uid in _canonical_uids:
-        return t
-    # One depth-first walk on an explicit stack numbers the closure and
-    # reads each node's shape and children once.  Until an edge reaches a
-    # node still open on the walk (a cycle), each node is hash-consed when
-    # it closes, after all its children.
+def _number(roots, leaves):
+    """One depth-first walk on an explicit stack over the closure of the
+    roots: (index, shapes, kids, canon), the position of each node by uid,
+    and each position's shape, children and canonical node.  With leaves,
+    a canonical node is a closed leaf, its own canonical node, whose
+    children are not read.  Until an edge reaches a node still open on the
+    walk (a cycle), each node is hash-consed when it closes, after all its
+    children; canon is None when one did, and otherwise complete."""
     index = {}
-    nodes, shapes, kids, canon = [], [], [], []
+    shapes, kids, canon = [], [], []
     acyclic = True
-    todo = [t]
+    closed = _canonical_uids if leaves else ()
+    todo = roots[::-1]
     while todo:
         n = todo.pop()
         if type(n) is int:  # node number n closes
             if acyclic:
-                node = nodes[n]
-                canon[n] = node if node.uid in _canonical_uids else _intern(
-                    shapes[n], [canon[index[c.uid]] for c in kids[n]])
+                canon[n] = _intern(shapes[n], [canon[index[c.uid]] for c in kids[n]])
             continue
-        i = index.get(n.uid)
+        uid = n.uid
+        i = index.get(uid)
         if i is not None:
             acyclic = acyclic and canon[i] is not None
             continue
-        todo.append(len(nodes))
-        index[n.uid] = len(nodes)
-        nodes.append(n)
-        shapes.append(_SHAPE[type(n)](n))
-        canon.append(None)
-        ks = _CHILDREN[type(n)](n)
+        i = index[uid] = len(shapes)
+        if uid in closed:
+            shapes.append(None)
+            kids.append(())
+            canon.append(n)
+            continue
+        todo.append(i)
+        shape, ks = _LOCAL[type(n)](n)
+        shapes.append(shape)
         kids.append(ks)
-        todo.extend(ks)
-    if acyclic:
-        return canon[0]
+        canon.append(None)
+        todo += ks
+    return index, shapes, kids, canon if acyclic else None
 
+
+def _canonical_nodes(roots):
+    """(index, canon): the position of each node of the roots' closure by
+    uid, and the canonical node of each position.
+
+    Canonical nodes are leaves of the walk, so only the part of the
+    closure not yet canonical is read.  When that part has no cycle, its
+    nodes are hash-consed bottom-up with no partition (Filliatre &
+    Conchon, "Type-safe modular hash-consing", 2006), which is exact
+    because every canonical node is interned under its local key.
+    Otherwise the closure is minimized by _partition and each component of
+    the quotient is interned under one key.  A new cycle can be bisimilar
+    to a canonical node it reaches (Mauborgne, "An incremental unique
+    representation for regular trees", 2000): when the walk met one, the
+    whole closure is walked again, canonical nodes' children too, and
+    partitioned with them.
+    """
+    index, shapes, kids, canon = _number(roots, leaves=True)
+    if canon is not None:
+        return index, canon
+    if None in shapes:  # the walk met a canonical node
+        index, shapes, kids, _ = _number(roots, leaves=False)
     kids = [[index[c.uid] for c in ks] for ks in kids]
     block = _partition(kids, shapes)
     rep = {b: i for i, b in enumerate(block)}  # any member: the partition is stable
@@ -784,12 +812,33 @@ def canonicalize(t):
             continue
         fresh = {b: _NODE[block_shape[b][0]](*block_shape[b][1:2]) for b in scc}
         for b in scc:
-            _attach(fresh[b], block_shape[b],
-                    [canon_of_block.get(c) or fresh[c] for c in block_children[b]])
+            shape = block_shape[b]
+            ks = [canon_of_block.get(c) or fresh[c] for c in block_children[b]]
+            _attach(fresh[b], shape, ks)
             _canonical_uids.add(fresh[b].uid)
+            _canonical[(shape, *[c.uid for c in ks])] = fresh[b]
         canon_of_block.update(fresh)
         _canonical[key] = fresh[start]
-    return canon_of_block[block[0]]
+    return index, [canon_of_block[b] for b in block]
+
+
+def canonicalize(t):
+    """Return the canonical node for t's bisimulation class.
+
+    Canonical nodes are interned globally: bisimilar inputs map to the
+    identical node object, so node identity after canonicalization is
+    bisimulation equality.  See _canonical_nodes.
+    """
+    if t.uid in _canonical_uids:
+        return t
+    return _canonical_nodes([t])[1][0]
+
+
+def canonical_images(roots):
+    """uid -> canonical node, for every node the roots reach: one
+    canonicalization of their closure, however many roots share it."""
+    index, canon = _canonical_nodes(roots)
+    return dict(zip(index, canon))
 
 
 def equal(t1, t2):

@@ -244,6 +244,17 @@ def rename_unify_oracle(goal, clause, trail):
     return None
 
 
+def unstamped(query):
+    """The query's atom with every term copied through copy_term, which
+    makes each node anew: the same terms, and the same sharing, with no
+    stamp on them."""
+    from coinfer.cosld_engine import copy_term
+    from coinfer.horn_compiler import Atom
+
+    memo = {}
+    return Atom(query.atom.pred, [copy_term(a, memo) for a in query.atom.args])
+
+
 def reference_solve(query, clauses, config=None):
     """solve as it was before its stack of choice points: the search
     recursed through nested generators, one per goal entered and one per

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import re
@@ -35,10 +36,10 @@ from coinfer.cosld_engine import (
     type_to_logic,
     unify_rational,
 )
-from coinfer.term_core import equal, type_from_source
+from coinfer.term_core import canonicalize, equal, type_from_source
 from coinfer.subtyping import equivalent, subtype
 
-from conftest import number_types, reference_solve, rename_unify_oracle
+from conftest import number_types, reference_solve, rename_unify_oracle, unstamped
 
 ZERO_SUCC = """
 class Zero {
@@ -818,6 +819,155 @@ def test_goal_stack_agrees_with_nested_generators():
 
 
 # ---------------------------------------------------------------------------
+# prelude terms stamped with their canonical type
+
+def _terms(atom):
+    """Every compound term the atom's arguments reach, once each."""
+    out, seen, todo = [], set(), list(atom.args)
+    while todo:
+        t = deref(todo.pop())
+        if type(t) in (Var, Const, IntTerm) or id(t) in seen:
+            continue
+        seen.add(id(t))
+        out.append(t)
+        todo.extend(cosld_engine._kids(t))
+    return out
+
+
+def union_receiver(n):
+    """field_acc on a prelude union of n boxes, each holding its own class."""
+    alts = " \\/ ".join("obj(box, [v: obj(c%d, [])])" % i for i in range(n))
+    return parse_query("U = %s; field_acc(U, v, R)" % alts)
+
+
+def test_prelude_terms_carry_their_canonical_node():
+    q = parse_query("E = obj(zero,[]) \\/ obj(succ,[pred: O]); O = obj(succ,[pred: E]);"
+                    " X = int; invoke(E, add, [O, X, obj(k, [])], R)")
+    e, _, args, _ = q.atom.args
+    assert e.stamp is canonicalize(q.types["E"])
+    assert args.items[0].stamp is canonicalize(q.types["O"])
+    assert e.right.rec.pairs[0][1] is args.items[0]  # the names share their terms
+    assert type(args.items[1]) is Const and args.items[2].stamp is None  # inline: unstamped
+    stamped = [t for t in _terms(q.atom) if type(t) in (ObjTerm, UnionTerm)
+               and t is not args.items[2]]
+    assert len(stamped) == 4 and all(t.stamp is not None for t in stamped)
+    # answers are copies: no stamp leaves the solver
+    res = solve(parse_query(README_QUERIES[0][1]), clauses_for(ZERO_SUCC), SolverConfig())
+    assert res.answers
+    for answer in res.answers:
+        for term in [ListTerm(answer.atom.args)] + list(answer.bindings.values()):
+            assert all(getattr(t, "stamp", None) is None for t in _terms(Atom("p", [term])))
+
+
+def test_stamped_terms_unify_by_identity():
+    q = parse_query("A = obj(a, [f: A]); B = obj(a, [f: obj(a, [f: B])]); C = obj(a, [f: D]);"
+                    " D = obj(b, []); p(A, B, C)")
+    a, b, c = q.atom.args
+    assert a is not b and a.stamp is b.stamp
+    trail = []
+    assert cosld_engine._unify(a, b, trail, set()) and trail == []
+    assert not cosld_engine._unify(a, c, trail, set())
+    # an unstamped copy is walked, with the same verdicts
+    a2, b2, c2 = unstamped(q).args
+    assert unify_rational(a2, b) and not unify_rational(c2, a)
+
+
+STAMP_QUERIES = [
+    (ZERO_SUCC, "E = obj(zero, []) \\/ obj(succ, [pred: obj(succ, [pred: E])]); "
+                "O = obj(succ, [pred: obj(zero, [])]) \\/ obj(succ, [pred: obj(succ, [pred: O])]);"
+                " invoke(E, add, [O], R)"),  # not minimal
+    (ZERO_SUCC, "A = obj(succ, [pred: B]); B = obj(succ, [pred: C]) \\/ obj(zero, []);"
+                " C = obj(succ, [pred: A]); invoke(A, add, [B], R)"),  # mutually recursive
+    (ZERO_SUCC, "X = Y; Y = obj(zero, []) \\/ obj(succ, [pred: X]); invoke(X, add, [Y], R)"),
+    (PAIR, "T = int; K = obj(k, []); P = obj(pair, [fst: T, snd: K]);"
+           " invoke(P, second, [], R)"),
+    (PAIR, "P = obj(pair, [fst: int, snd: obj(k, [])]); Q = obj(pair, [fst: int, snd: obj(k, [])]);"
+           " field_acc(P \\/ Q, F, T)"),
+]
+
+
+def test_stamps_change_no_outcome():
+    # the same answers in the same order, budgets, steps and subsumptions
+    # with the prelude's stamps as with an unstamped copy of the query
+    configs = [SolverConfig(), SolverConfig(subsumption_enabled=False, max_depth=16),
+               SolverConfig(max_steps=40), SolverConfig(max_answers=1)]
+    cases = [(clauses_for(program), parse_query(query))
+             for program, query in README_QUERIES + STAMP_QUERIES
+             + [case for seed in range(3) for case in box_fwd_queries(seed)]]
+    cases.append((clauses_for(BOXES.replace("class Sub extends Box { }", "")), union_receiver(50)))
+    for clauses, query in cases:
+        for cfg in configs:
+            got = _outcome(solve(query, clauses, cfg))
+            assert got == _outcome(solve(unstamped(query), clauses, cfg))
+            assert got == _outcome(reference_solve(query, clauses, cfg))
+
+
+def test_subsumption_decides_each_canonical_pair_once(monkeypatch):
+    pairs = []
+
+    def counting(small, large):
+        pairs.append((small, large))
+        return subtype(small, large)
+
+    monkeypatch.setattr(cosld_engine, "subtype", counting)
+    query, clauses = parse_query(README_QUERIES[0][1]), clauses_for(ZERO_SUCC)
+    res = solve(query, clauses, SolverConfig())
+    obligations = sum(len(o) for _, o in res.subsumptions)
+    assert pairs and len(pairs) == len(set(pairs)) < obligations
+    assert all(canonicalize(s) is s and canonicalize(t) is t for s, t in pairs)
+    monkeypatch.undo()
+    assert _outcome(res) == _outcome(solve(unstamped(query), clauses, SolverConfig()))
+
+
+@pytest.mark.parametrize("term,key", [
+    ("obj(a, [])", cosld_engine.ObjTerm), ("A", None), ("a", "a"), ("3", 3),
+    ("[a]", None), ("[f: a]", None), ("obj(a, []) \\/ obj(b, [])", cosld_engine.UnionTerm),
+])
+def test_goal_key(term, key):
+    assert cosld_engine._goal_key(parse_query("p(%s)" % term).atom) == key
+    stamped = parse_query("T = obj(a, []); p(T)").atom
+    assert cosld_engine._goal_key(stamped) is stamped.args[0].stamp
+    assert cosld_engine._goal_key(Atom("p", [])) is None
+
+
+# ---------------------------------------------------------------------------
+# ground-fact-first selection, linear in the body
+
+def _new_args_program(n):
+    params = ", ".join("x%d" % i for i in range(n))
+    return ("class A { f; A(x) { this.f = x; } }\n"
+            "class B { k(%s) { return x0; } m(y) { return this.k(%s); } }\n"
+            % (params, ", ".join(["new A(y)"] * n)))
+
+
+def test_bound_fact_selection_is_linear_in_the_body():
+    # each step reads only the body goals on fact predicates, so a body of
+    # n goals costs O(n), not O(n²), in fact checks.  The collector is off
+    # while a solve is timed: its full passes over the live goals grow
+    # with them, and this checks the solver's own work.
+    def run(n):
+        clauses = clauses_for(_new_args_program(n))
+        query = parse_query("invoke(obj(b,[]), m, [int], R)")
+        best = None
+        for _ in range(3):
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                res = solve(query, clauses, SolverConfig())
+                elapsed = time.perf_counter() - start
+            finally:
+                gc.enable()
+            best = elapsed if best is None else min(best, elapsed)
+        assert [format_answer(a) for a in res.answers] == ["R = obj(a,[f:int])"]
+        return res.steps, best
+
+    (steps2, t2), (steps4, t4) = run(2000), run(4000)
+    assert (steps2, steps4) == (6006, 12006)
+    assert t4 / t2 <= 2.5, "2000 -> 4000 new arguments: %.2fs -> %.2fs" % (t2, t4)
+
+
+# ---------------------------------------------------------------------------
 # walkers and parsers on terms deeper than the recursion limit
 
 DEEP = 10_000
@@ -882,3 +1032,18 @@ def test_program_parser_deep():
     assert len(clause.body) == DEEP + 1
     assert [b.pred for b in clause.body[-2:]] == ["new", "field_acc"]
     assert format_term_text(clause.head.args[-1]) == "V%d" % DEEP
+
+
+@pytest.mark.parametrize("n", [3000, DEEP])
+def test_deep_clause_head_matches_without_recursion(n):
+    # a hand-built clause head n objects deep: built for an unbound goal
+    # variable (_instance), and matched against a goal of the same shape
+    # (_match), under the default recursion limit
+    t = deep_term(Const("int"), n)
+    clauses = [HornClause(Atom("p", [t]))]
+    res = solve(Atom("p", [Var("X")]), clauses, SolverConfig(variance={}))
+    [answer] = res.answers
+    assert logic_equal(answer.bindings["X"], t)
+    res = solve(Atom("p", [deep_term(Var("Y"), n)]), clauses, SolverConfig(variance={}))
+    [answer] = res.answers
+    assert format_term_text(answer.bindings["Y"]) == "int"

@@ -139,3 +139,37 @@ def test_canonicalize_acyclic_in_linear_time(shape, n, size):
     assert elapsed < 3.0, "%s %d took %.2fs" % (shape.__name__, n, elapsed)
     assert len(subterm_closure(c)) == size
     assert canonicalize(shape(n)) is c
+
+
+# ---------------------------------------------------------------------------
+# solver probes: stamped prelude terms and the ancestor key check
+
+def _solve_probe(program, query, max_depth):
+    from coinfer.cosld_engine import SolverConfig, parse_query, solve
+    from coinfer.horn_compiler import compile_program, parse_program
+
+    clauses = compile_program(parse_program(program))
+    q = parse_query(query)
+    start = time.perf_counter()
+    res = solve(q, clauses, SolverConfig(max_depth=max_depth))
+    return res, time.perf_counter() - start
+
+
+def test_union_receiver_probe():
+    # field_acc on a prelude union of 400 boxes: each goal's union is
+    # stamped, so the ancestors whose stamps differ are skipped unread
+    alts = " \\/ ".join("obj(box, [v: obj(c%d, [])])" % i for i in range(400))
+    res, elapsed = _solve_probe("class Box { v; Box(x) { this.v = x; } get() { return v; } }",
+                                "U = %s; field_acc(U, v, R)" % alts, 4096)
+    assert len(res.answers) == 1 and res.complete
+    assert res.steps == 5345
+    assert elapsed < 1.0, "union receiver 400 took %.2fs" % elapsed
+
+
+def test_forwarding_probe_steps():
+    lines = ["class C0 { m(x) { return x; } }"]
+    lines += ["class C%d extends C%d { m(x) { return new C%d().m(x); } }" % (i, i - 1, i - 1)
+              for i in range(1, 80)]
+    res, _ = _solve_probe("\n".join(lines), "invoke(obj(c79,[]), m, [int], R)", 4096)
+    assert [a.bindings["R"].name for a in res.answers] == ["int"]
+    assert res.steps == 12394

@@ -17,6 +17,7 @@ from coinfer.term_core import (
     UnionType,
     _TYPE_TOKENS,
     _named_nodes,
+    canonical_images,
     canonicalize,
     equal,
     parse_type,
@@ -418,7 +419,8 @@ def test_acyclic_closure_never_partitions(monkeypatch):
 
 
 def test_intern_table_grows_by_new_components():
-    # one key per new component of the minimal graph, one uid per new node
+    # one key per new component of the minimal graph, one uid per new node,
+    # and one local key per node of a new cyclic component
     import coinfer.term_core as term_core
 
     rng = seeded(614)
@@ -434,11 +436,12 @@ def test_intern_table_grows_by_new_components():
                 for n in subterm_closure(c) if n.uid > first}
         new = term_core._scc_order(list(kids), {u: [m for m in ks if m in kids]
                                                 for u, ks in kids.items()})
+        cyclic = sum(len(scc) for scc in new if len(scc) > 1 or scc[0] in kids[scc[0]])
         assert len(term_core._canonical_uids) - uids == len(kids)
-        assert len(term_core._canonical) - keys == len(new)
+        assert len(term_core._canonical) - keys == len(new) + cyclic
         canonicalize(inflate(t, rng))
         assert (len(term_core._canonical), len(term_core._canonical_uids)) == \
-            (keys + len(new), uids + len(kids))
+            (keys + len(new) + cyclic, uids + len(kids))
 
 
 def test_print_round_trip_random():
@@ -647,3 +650,64 @@ def test_reader_agrees_with_reference():
         if new is not None:
             _assert_same_graph(new, old, values, k)
     assert read > len(sources)  # some mutated sources still read
+
+
+# ---------------------------------------------------------------------------
+# canonical nodes are leaves of the canonicalizing walk
+
+EVEN_ODD = "E = obj(zero, []) \\/ obj(succ, [pred: O]); O = obj(succ, [pred: E]); root %s"
+
+
+def test_new_node_over_a_cycle_finds_its_canonical_node():
+    # every node of a canonical cycle is interned under its local key, so
+    # a new node whose canonical children reach into one finds it
+    even = canonicalize(type_from_source(EVEN_ODD % "E"))
+    odd = canonicalize(type_from_source(EVEN_ODD % "O"))
+    assert canonicalize(ObjType("succ", {"pred": even})) is odd
+    assert canonicalize(UnionType(ObjType("zero"), ObjType("succ", {"pred": odd}))) is even
+
+
+def test_new_cycle_bisimilar_to_a_canonical_node_it_reaches():
+    # Mauborgne's pitfall: X = obj(a, [f: X, g: Y*]) is Y* itself
+    y = canonicalize(type_from_source("Y = obj(a, [f: Y, g: Y]); root Y"))
+    x = ObjType("a")
+    x.fields = {"f": x, "g": y}
+    assert canonicalize(x) is y
+    x1, x2 = ObjType("a"), ObjType("a")  # two new nodes on the cycle
+    x1.fields, x2.fields = {"f": x2, "g": y}, {"f": x1, "g": x1}
+    assert canonicalize(x2) is y
+    z = ObjType("a")  # not bisimilar: a new canonical node
+    z.fields = {"f": z, "g": canonicalize(IntType())}
+    cz = canonicalize(z)
+    assert cz is not y and trees_equal_oracle(cz, z) and canonicalize(cz) is cz
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_canonicalize_grafted_onto_canonical_nodes(seed):
+    # a graph whose edges reach canonical nodes gets the node an inflated
+    # copy with no canonical node in it gets
+    rng = seeded(7300 + seed)
+    for _ in range(40):
+        targets = subterm_closure(canonicalize(random_type(rng, rng.randint(1, 8))))
+        t = random_type(rng, rng.randint(1, 8))
+        for n in subterm_closure(t):  # t's own nodes, before the grafts
+            if isinstance(n, ObjType):
+                for f in n.fields:
+                    if rng.random() < 0.3:
+                        n.fields[f] = rng.choice(targets)
+        c = canonicalize(t)
+        assert trees_equal_oracle(t, c)
+        assert canonicalize(inflate(t, rng)) is c
+
+
+def test_canonical_images_of_several_roots():
+    # one canonicalization over all roots maps every node they reach
+    rng = seeded(7400)
+    for _ in range(30):
+        roots = [random_type(rng, rng.randint(1, 8)) for _ in range(3)]
+        roots.append(rng.choice(subterm_closure(roots[0])))
+        images = canonical_images(roots)
+        nodes = {n.uid: n for r in roots for n in subterm_closure(r)}
+        assert images.keys() == nodes.keys()
+        for uid, n in nodes.items():
+            assert images[uid] is canonicalize(inflate(n, rng))
