@@ -1096,6 +1096,7 @@ def _query_kind(text):
 class _QueryParser(TokenParser):
     def __init__(self, source):
         super().__init__(source, _QTOKEN, _query_kind, EngineError)
+        self.built = []  # the obj and union terms the atom writes, children first
 
     def prelude(self):
         """Parse the leading 'VAR = type;' equations where they stand and
@@ -1198,6 +1199,7 @@ class _QueryParser(TokenParser):
                     break
                 while parts:
                     term = UnionTerm(parts.pop(), term)
+                    self.built.append(term)
                 if not stack:
                     return term
                 frame = stack.pop()
@@ -1214,6 +1216,7 @@ class _QueryParser(TokenParser):
                         break
                     self.expect(")")
                     term = ObjTerm(frame[2], term)
+                    self.built.append(term)
                     continue
                 if kind == "|":
                     self.expect("]")
@@ -1260,7 +1263,40 @@ def parse_query(source):
     images = canonical_images(list(types.values())) if types else None
     logic = {name: type_to_logic(t, memo, images) for name, t in types.items()}
     atom = parser.atom(logic)
+    _stamp_ground(parser.built)
     return Query(atom, types, parser.vars)
+
+
+def _stamp_ground(built):
+    """Stamp the ground obj and union terms a query writes inline, given
+    children first, when it writes a union: the solver splits a union into
+    one goal per alternative, each checked against the others as
+    ancestors, and stamps make those checks identity tests.  Without a
+    union the terms are met by one chain of goals, and stamping them costs
+    more than it saves.  A term is ground when each of its children is
+    int or stamped; its stamp is the canonical node of the node
+    logic_to_type would make of it, one hash-consing step over its
+    children's canonical nodes."""
+    if not any(type(t) is UnionTerm for t in built):
+        return
+
+    def stamp(t):
+        if type(t) is Const:
+            return canonicalize(IntType()) if t.name == "int" else None
+        return getattr(t, "stamp", None)
+
+    for t in built:
+        if type(t) is UnionTerm:
+            left, right = stamp(t.left), stamp(t.right)
+            node = left and right and UnionType(left, right)
+        else:
+            norm = _norm_rec(t.rec)
+            if type(t.cls) is not Const or norm is _FAIL or norm[1] or norm[2] is not None:
+                continue
+            fields = {k: stamp(v) for k, v in norm[0].items()}
+            node = None not in fields.values() and ObjType(t.cls.name, fields)
+        if node:
+            t.stamp = canonicalize(node)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json as _json
 import re
+import threading
 from collections import Counter
 from functools import partial
 
@@ -540,7 +541,10 @@ def value_from_source(source):
 
 _canonical = {}        # key of a component's start block -> its canonical node
 _canonical_uids = set()
+_by_summary = {}       # summary -> canonical node on a cycle, or a list when they collide
+_lock = threading.Lock()  # taken to add canonical nodes, never to read them
 _START_CANDIDATES = 4  # start blocks serialized and compared per component
+_SUMMARY_ROUNDS = 3    # signing rounds in a summary
 
 
 def _partition(kids, shapes):
@@ -717,23 +721,59 @@ def _intern(shape, kids):
     under its local key, the shape and the children's uids.  Every
     canonical node is found under its local key, the nodes of a cycle
     too; a component's key, which _scc_key gives, starts with a tuple
-    tagged "n" and is never a local key."""
+    tagged "n" and is never a local key.  A miss is checked again under
+    _lock, so two threads never make two nodes of one class."""
     key = (shape, *[c.uid for c in kids])
     hit = _canonical.get(key)
     if hit is None:
-        hit = _canonical[key] = _attach(_NODE[shape[0]](*shape[1:2]), shape, kids)
-        _canonical_uids.add(hit.uid)
+        with _lock:
+            hit = _canonical.get(key)
+            if hit is None:
+                hit = _attach(_NODE[shape[0]](*shape[1:2]), shape, kids)
+                _canonical_uids.add(hit.uid)
+                _canonical[key] = hit
     return hit
+
+
+def _add_component(scc, start, key, block_children, block_shape, canon_of_block, summary):
+    """The node of block start in a component of the quotient that no key
+    found: made under _lock, unless another thread made it first.  Every
+    node is attached before any is published: each under its local key
+    and filed under its summary, and the start under the component's key
+    last.  So every canonical node on a cycle is filed."""
+    with _lock:
+        hit = _canonical.get(key)
+        if hit is not None:
+            return hit
+        fresh = {b: _NODE[block_shape[b][0]](*block_shape[b][1:2]) for b in scc}
+        kids = {b: [canon_of_block.get(c) or fresh[c] for c in block_children[b]] for b in scc}
+        for b in scc:
+            _attach(fresh[b], block_shape[b], kids[b])
+        for b in scc:
+            node = fresh[b]
+            _canonical_uids.add(node.uid)
+            _canonical[(block_shape[b], *[c.uid for c in kids[b]])] = node
+            filed = _by_summary.get(summary[b])
+            if filed is None:
+                _by_summary[summary[b]] = node
+            elif type(filed) is list:
+                filed.append(node)
+            else:
+                _by_summary[summary[b]] = [filed, node]
+        _canonical[key] = fresh[start]
+        return fresh[start]
 
 
 def _number(roots, leaves):
     """One depth-first walk on an explicit stack over the closure of the
-    roots: (index, shapes, kids, canon), the position of each node by uid,
-    and each position's shape, children and canonical node.  With leaves,
-    a canonical node is a closed leaf, its own canonical node, whose
-    children are not read.  Until an edge reaches a node still open on the
-    walk (a cycle), each node is hash-consed when it closes, after all its
-    children; canon is None when one did, and otherwise complete."""
+    roots: (index, shapes, kids, canon, acyclic), the position of each
+    node by uid, and each position's shape, children and canonical node.
+    With leaves, a canonical node is a closed leaf, its own canonical
+    node, whose children are not read.  A node is hash-consed when it
+    closes, after all its children, if they all have a canonical node: so
+    every node that reaches no cycle gets one, and acyclic says whether
+    that is every node.
+    """
     index = {}
     shapes, kids, canon = [], [], []
     acyclic = True
@@ -742,13 +782,14 @@ def _number(roots, leaves):
     while todo:
         n = todo.pop()
         if type(n) is int:  # node number n closes
-            if acyclic:
-                canon[n] = _intern(shapes[n], [canon[index[c.uid]] for c in kids[n]])
+            ks = [canon[index[c.uid]] for c in kids[n]]
+            if None in ks:  # a child is on a cycle or reaches one
+                acyclic = False
+            else:
+                canon[n] = _intern(shapes[n], ks)
             continue
         uid = n.uid
-        i = index.get(uid)
-        if i is not None:
-            acyclic = acyclic and canon[i] is not None
+        if uid in index:
             continue
         i = index[uid] = len(shapes)
         if uid in closed:
@@ -762,7 +803,92 @@ def _number(roots, leaves):
         kids.append(ks)
         canon.append(None)
         todo += ks
-    return index, shapes, kids, canon if acyclic else None
+    return index, shapes, kids, canon, acyclic
+
+
+def _summaries(shapes, kids):
+    """A summary per position: its shape, signed _SUMMARY_ROUNDS times
+    with its children's summaries and hashed, as a pass of _partition
+    signs a node with its children's blocks.  Bisimilar nodes get equal
+    summaries however they are presented, and a summary is one machine
+    word.  Plain loops: a comprehension per position costs a call."""
+    sig = shapes
+    for _ in range(_SUMMARY_ROUNDS):
+        signed = []
+        for s, ks in zip(sig, kids):
+            row = [s]
+            for c in ks:
+                row.append(sig[c])
+            signed.append(hash(tuple(row)))
+        sig = signed
+    return sig
+
+
+def _lookup(roots, index, shapes, kids, image, summary):
+    """Whether every root's class is interned already; if so, image then
+    maps every position of their closure to its canonical node.
+
+    A depth-first walk from the roots maps each position when it closes,
+    after its children, to the node found under its local key.  A
+    position reached again while still open is on a cycle, and its image,
+    if its class is interned, is a canonical node on a cycle too, all of
+    which are filed under their summaries.  A candidate filed under its
+    summary is confirmed by a walk of the position and it in lockstep, as
+    Hopcroft and Karp test deterministic automata for equivalence ("A
+    linear algorithm for testing equivalence of finite automata", 1971):
+    each position met is mapped to one canonical node, shapes equal and
+    children paired in order, so a walk that completes is a bisimulation.
+    Two distinct canonical nodes are never bisimilar, so a position met
+    again with another node disproves the candidate, and the walk's pairs
+    are undone.  The walks undone meet a bounded multiple of the
+    positions, so the lookup is linear.
+    """
+    budget = 4 * len(shapes) + 16
+    opened = set()
+    todo = [index[r.uid] for r in reversed(roots)]
+    while todo:
+        i = todo.pop()
+        if i < 0:  # position ~i closes, its children mapped
+            i = ~i
+            if image[i] is None:
+                image[i] = _canonical.get((shapes[i], *[image[c].uid for c in kids[i]]))
+                if image[i] is None:
+                    return False
+            continue
+        if image[i] is not None:
+            continue
+        if i not in opened:
+            opened.add(i)
+            todo.append(~i)
+            todo += kids[i]
+            continue
+        found = _by_summary.get(summary[i])  # i is on a cycle
+        for cand in (() if found is None else reversed(found) if type(found) is list
+                     else (found,)):
+            made = []
+            pairs = [(i, cand)]
+            while pairs:
+                j, node = pairs.pop()
+                had = image[j]
+                if had is None:
+                    shape, ks = _LOCAL[type(node)](node)
+                    if shape != shapes[j]:
+                        break
+                    image[j] = node
+                    made.append(j)
+                    pairs += zip(kids[j], ks)
+                elif had is not node:
+                    break
+            else:
+                break  # confirmed
+            for j in made:
+                image[j] = None
+            budget -= len(made) + 1
+            if budget < 0:
+                return False
+        else:
+            return False
+    return True
 
 
 def _canonical_nodes(roots):
@@ -773,20 +899,27 @@ def _canonical_nodes(roots):
     closure not yet canonical is read.  When that part has no cycle, its
     nodes are hash-consed bottom-up with no partition (Filliatre &
     Conchon, "Type-safe modular hash-consing", 2006), which is exact
-    because every canonical node is interned under its local key.
-    Otherwise the closure is minimized by _partition and each component of
-    the quotient is interned under one key.  A new cycle can be bisimilar
-    to a canonical node it reaches (Mauborgne, "An incremental unique
-    representation for regular trees", 2000): when the walk met one, the
-    whole closure is walked again, canonical nodes' children too, and
-    partitioned with them.
+    because every canonical node is interned under its local key.  A
+    cyclic closure that met no canonical node is looked up first
+    (_lookup): a node on a cycle by its summary, confirmed by a lockstep
+    walk, and the nodes above by their local keys.  Only a miss is
+    minimized by _partition, and each component of the quotient is
+    interned under one key, its nodes filed under their summaries.  A new
+    cycle can be bisimilar to a canonical node it reaches (Mauborgne, "An
+    incremental unique representation for regular trees", 2000): when the
+    walk met one, the whole closure is walked again, canonical nodes'
+    children too, and partitioned with them.
     """
-    index, shapes, kids, canon = _number(roots, leaves=True)
-    if canon is not None:
+    index, shapes, kids, canon, acyclic = _number(roots, leaves=True)
+    if acyclic:
         return index, canon
-    if None in shapes:  # the walk met a canonical node
-        index, shapes, kids, _ = _number(roots, leaves=False)
+    met = None in shapes  # the walk met a canonical node
+    if met:
+        index, shapes, kids, canon, _ = _number(roots, leaves=False)
     kids = [[index[c.uid] for c in ks] for ks in kids]
+    summary = _summaries(shapes, kids)
+    if not met and _lookup(roots, index, shapes, kids, canon, summary):
+        return index, canon
     block = _partition(kids, shapes)
     rep = {b: i for i, b in enumerate(block)}  # any member: the partition is stable
     block_children = {b: tuple([block[c] for c in kids[i]]) for b, i in rep.items()}
@@ -796,29 +929,21 @@ def _canonical_nodes(roots):
     for scc in _scc_order(list(rep), block_children):
         b = scc[0]
         if len(scc) == 1 and b not in block_children[b]:
-            canon_of_block[b] = _intern(block_shape[b],
-                                        [canon_of_block[c] for c in block_children[b]])
+            # canon holds only exact nodes: hash-consed, or confirmed by a lookup
+            canon_of_block[b] = canon[rep[b]] or _intern(
+                block_shape[b], [canon_of_block[c] for c in block_children[b]])
             continue
         start, key = _scc_key(scc, block_children, block_shape, canon_of_block)
-        hit = _canonical.get(key)
-        if hit is not None:
-            # both graphs are minimal and deterministic: walk them in step
-            todo = [(start, hit)]
-            while todo:
-                b, node = todo.pop()
-                if b not in canon_of_block:
-                    canon_of_block[b] = node
-                    todo.extend(zip(block_children[b], _children(node)))
-            continue
-        fresh = {b: _NODE[block_shape[b][0]](*block_shape[b][1:2]) for b in scc}
-        for b in scc:
-            shape = block_shape[b]
-            ks = [canon_of_block.get(c) or fresh[c] for c in block_children[b]]
-            _attach(fresh[b], shape, ks)
-            _canonical_uids.add(fresh[b].uid)
-            _canonical[(shape, *[c.uid for c in ks])] = fresh[b]
-        canon_of_block.update(fresh)
-        _canonical[key] = fresh[start]
+        hit = _canonical.get(key) or _add_component(
+            scc, start, key, block_children, block_shape, canon_of_block,
+            {b: summary[rep[b]] for b in scc})
+        # both graphs are minimal and deterministic: walk them in step
+        todo = [(start, hit)]
+        while todo:
+            b, node = todo.pop()
+            if b not in canon_of_block:
+                canon_of_block[b] = node
+                todo.extend(zip(block_children[b], _children(node)))
     return index, [canon_of_block[b] for b in block]
 
 

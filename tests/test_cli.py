@@ -74,21 +74,27 @@ def test_subtype_trace_prints_derivation(tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_subtype_trace_canonicalizes_each_input_once(tmp_path, capsys, monkeypatch, fmt):
+    # each input's closure goes through the canonicalizing walk once; a
+    # class interned already is looked up there and needs no partition
     import coinfer.term_core as term_core
 
-    partitions = []
-    real = term_core._partition
+    calls = {"_canonical_nodes": 0, "_partition": 0}
 
-    def counting(kids, shapes):
-        partitions.append(len(kids))
-        return real(kids, shapes)
+    def counting(name):
+        real = getattr(term_core, name)
 
-    monkeypatch.setattr(term_core, "_partition", counting)
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(term_core, name, count)
+
+    counting("_canonical_nodes")
+    counting("_partition")
     odd = put(tmp_path, "odd.ty", ODD)
     nat = put(tmp_path, "nat.ty", NAT)
     assert main(["subtype", odd, nat, "--trace", "--format", fmt]) == 0
     assert ("derivation" if fmt == "json" else "<=") in capsys.readouterr().out
-    assert len(partitions) == 2
+    assert calls["_canonical_nodes"] == 2 and calls["_partition"] <= 2
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -834,10 +834,12 @@ def _terms(atom):
     return out
 
 
-def union_receiver(n):
-    """field_acc on a prelude union of n boxes, each holding its own class."""
+def union_receiver(n, inline=False):
+    """field_acc on a union of n boxes, each holding its own class, named
+    in the prelude or written inline."""
     alts = " \\/ ".join("obj(box, [v: obj(c%d, [])])" % i for i in range(n))
-    return parse_query("U = %s; field_acc(U, v, R)" % alts)
+    return parse_query(("field_acc(%s, v, R)" if inline else "U = %s; field_acc(U, v, R)")
+                       % alts)
 
 
 def test_prelude_terms_carry_their_canonical_node():
@@ -851,6 +853,14 @@ def test_prelude_terms_carry_their_canonical_node():
     stamped = [t for t in _terms(q.atom) if type(t) in (ObjTerm, UnionTerm)
                and t is not args.items[2]]
     assert len(stamped) == 4 and all(t.stamp is not None for t in stamped)
+    # in a query that writes a union, the ground terms written inline are
+    # stamped too, and so is a union over a prelude name
+    u = parse_query("K = obj(k, []); p(obj(k, []) \\/ obj(j, [f: int]), K \\/ obj(j, [f: int]),"
+                    " obj(i, [f: X]))").atom.args
+    kj = type_from_source("U = obj(k, []) \\/ obj(j, [f: int]); root U")
+    assert u[0].stamp is canonicalize(kj) and u[1].stamp is u[0].stamp
+    assert u[0].left.stamp is canonicalize(type_from_source("K = obj(k, []); root K"))
+    assert u[2].stamp is None  # not ground
     # answers are copies: no stamp leaves the solver
     res = solve(parse_query(README_QUERIES[0][1]), clauses_for(ZERO_SUCC), SolverConfig())
     assert res.answers
@@ -883,6 +893,8 @@ STAMP_QUERIES = [
            " invoke(P, second, [], R)"),
     (PAIR, "P = obj(pair, [fst: int, snd: obj(k, [])]); Q = obj(pair, [fst: int, snd: obj(k, [])]);"
            " field_acc(P \\/ Q, F, T)"),
+    (PAIR, "K = obj(k, []); field_acc(obj(pair, [fst: int, snd: K]) \\/ obj(pair, [fst: X,"
+           " snd: obj(k, [])]), F, T)"),  # ground terms inline, some inside a term with a variable
 ]
 
 
@@ -894,7 +906,8 @@ def test_stamps_change_no_outcome():
     cases = [(clauses_for(program), parse_query(query))
              for program, query in README_QUERIES + STAMP_QUERIES
              + [case for seed in range(3) for case in box_fwd_queries(seed)]]
-    cases.append((clauses_for(BOXES.replace("class Sub extends Box { }", "")), union_receiver(50)))
+    boxes = clauses_for(BOXES.replace("class Sub extends Box { }", ""))
+    cases += [(boxes, union_receiver(50)), (boxes, union_receiver(50, inline=True))]
     for clauses, query in cases:
         for cfg in configs:
             got = _outcome(solve(query, clauses, cfg))
@@ -924,7 +937,13 @@ def test_subsumption_decides_each_canonical_pair_once(monkeypatch):
     ("[a]", None), ("[f: a]", None), ("obj(a, []) \\/ obj(b, [])", cosld_engine.UnionTerm),
 ])
 def test_goal_key(term, key):
-    assert cosld_engine._goal_key(parse_query("p(%s)" % term).atom) == key
+    # a stamped term keys by its stamp, an unstamped one by its class; a
+    # union written inline is stamped
+    q = parse_query("p(%s)" % term)
+    assert cosld_engine._goal_key(unstamped(q)) == key
+    stamp = getattr(q.atom.args[0], "stamp", None)
+    assert (stamp is not None) == (key is cosld_engine.UnionTerm)
+    assert cosld_engine._goal_key(q.atom) == (key if stamp is None else stamp)
     stamped = parse_query("T = obj(a, []); p(T)").atom
     assert cosld_engine._goal_key(stamped) is stamped.args[0].stamp
     assert cosld_engine._goal_key(Atom("p", [])) is None

@@ -166,6 +166,17 @@ def test_union_receiver_probe():
     assert elapsed < 1.0, "union receiver 400 took %.2fs" % elapsed
 
 
+def test_inline_union_receiver_probe():
+    # the same union written inline in the atom: its ground terms are
+    # stamped as the prelude's are, with the same steps
+    alts = " \\/ ".join("obj(box, [v: obj(c%d, [])])" % i for i in range(400))
+    res, elapsed = _solve_probe("class Box { v; Box(x) { this.v = x; } get() { return v; } }",
+                                "field_acc(%s, v, R)" % alts, 4096)
+    assert len(res.answers) == 1 and res.complete
+    assert res.steps == 5345
+    assert elapsed < 0.5, "inline union receiver 400 took %.2fs" % elapsed
+
+
 def test_forwarding_probe_steps():
     lines = ["class C0 { m(x) { return x; } }"]
     lines += ["class C%d extends C%d { m(x) { return new C%d().m(x); } }" % (i, i - 1, i - 1)

@@ -711,3 +711,193 @@ def test_canonical_images_of_several_roots():
         assert images.keys() == nodes.keys()
         for uid, n in nodes.items():
             assert images[uid] is canonicalize(inflate(n, rng))
+
+
+# ---------------------------------------------------------------------------
+# a cyclic closure is looked up by summary before it is partitioned
+
+def _count_partitions(monkeypatch):
+    import coinfer.term_core as term_core
+
+    calls = []
+    real = term_core._partition
+
+    def counting(kids, shapes):
+        calls.append(len(kids))
+        return real(kids, shapes)
+
+    monkeypatch.setattr(term_core, "_partition", counting)
+    return calls
+
+
+def _renamed(t, name):
+    """t with every class renamed, so its classes are not interned yet."""
+    for n in subterm_closure(t):
+        if isinstance(n, ObjType):
+            n.class_name = name
+    return t
+
+
+def _fresh_table(monkeypatch):
+    """Run the test on an intern table of its own, empty at first."""
+    import coinfer.term_core as term_core
+
+    for name, empty in (("_canonical", {}), ("_canonical_uids", set()), ("_by_summary", {})):
+        monkeypatch.setattr(term_core, name, empty)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cyclic_copies_get_one_node_cold_or_warm(seed, monkeypatch):
+    # a copy whose class is new is partitioned, and a second copy is found
+    # by its summary and local keys
+    _fresh_table(monkeypatch)
+    calls = _count_partitions(monkeypatch)
+    rng = seeded(7500 + seed)
+    cyclic = 0
+    for k in range(40):
+        t = random_type(rng, rng.randint(2, 9))
+        first, second = inflate(t, rng), inflate(t, rng)
+        del calls[:]
+        cold = canonicalize(first)
+        partitioned = len(calls)
+        warm = canonicalize(second)
+        assert warm is cold and trees_equal_oracle(t, cold)
+        assert len(calls) == partitioned
+        cyclic += partitioned
+    assert cyclic > 10
+
+
+def test_lookup_gives_up_after_a_bounded_walk(monkeypatch):
+    # cycles of unions alone share one summary down to its rounds: a
+    # lookup refutes a bounded number of them, then partitions, and still
+    # gets the node interned for its class
+    import coinfer.term_core as term_core
+
+    _fresh_table(monkeypatch)
+    empty = canonicalize(type_from_source("B = B \\/ B; root B"))
+    rounds = term_core._SUMMARY_ROUNDS
+    for k in range(40):  # unions above a cycle, then obj(k) past the rounds
+        src = "T = %s; root T" % ("(T \\/ " * (rounds + 1) + "obj(tower%d, [])" % k
+                                  + ")" * (rounds + 1))
+        canonicalize(type_from_source(src))
+    assert len(term_core._by_summary[_summary(empty)]) > 40
+    calls = _count_partitions(monkeypatch)
+    assert canonicalize(type_from_source("X = Y \\/ X; Y = X \\/ X; root X")) is empty
+    assert len(calls) == 1
+
+
+def _summary(t):
+    import coinfer.term_core as term_core
+
+    index, shapes, kids, _, _ = term_core._number([t], leaves=False)
+    kids = [[index[c.uid] for c in ks] for ks in kids]
+    return term_core._summaries(shapes, kids)[index[t.uid]]
+
+
+def test_equal_summaries_of_distinct_classes_give_distinct_nodes():
+    # p and q differ only one edge past the summary's rounds below the
+    # root: one is a candidate for the other, and the walk refutes it
+    import coinfer.term_core as term_core
+
+    rounds = term_core._SUMMARY_ROUNDS
+    src = "P = %s; root P" % ("obj(sa, [f: " * (rounds + 1) + "obj(%s, [f: P])" + "])" * (rounds + 1))
+    p, q = type_from_source(src % "sb"), type_from_source(src % "sc")
+    assert _summary(p) == _summary(q)
+    cp, cq = canonicalize(p), canonicalize(q)
+    assert cp is not cq
+    assert canonicalize(inflate(p, seeded(1))) is cp
+    assert canonicalize(inflate(q, seeded(2))) is cq
+
+
+def test_forced_summary_collisions_change_no_node(monkeypatch):
+    # with no signing round every node of a shape collides with every
+    # other; the lockstep walk alone must tell the classes apart
+    import coinfer.term_core as term_core
+
+    _fresh_table(monkeypatch)
+    monkeypatch.setattr(term_core, "_SUMMARY_ROUNDS", 0)
+    evn, odd, nat = (canonicalize(type_from_source(src))
+                     for src in (EVEN_ODD % "E", EVEN_ODD % "O", NAT))
+    assert _summary(evn) == _summary(nat) and len({evn, odd, nat}) == 3
+    for src, node in ((EVEN_ODD % "E", evn), (EVEN_ODD % "O", odd), (NAT, nat), (EVN, evn)):
+        assert canonicalize(inflate(type_from_source(src), seeded(3))) is node
+    rng = seeded(7600)
+    pool = []
+    for k in range(60):
+        t = _renamed(random_type(rng, rng.randint(2, 8)), "clash%d" % (k % 3))
+        c = canonicalize(inflate(t, rng))
+        assert trees_equal_oracle(t, c) and canonicalize(inflate(t, rng)) is c
+        pool.append((t, c))
+    for _ in range(300):
+        (t1, c1), (t2, c2) = rng.choice(pool), rng.choice(pool)
+        assert (c1 is c2) == trees_equal_oracle(t1, t2)
+
+
+def test_fresh_mauborgne_cycle_is_found_by_summary(monkeypatch):
+    # X = obj(a, [f: X, g: Y]) is Y: X's summary is Y*'s, and the walk
+    # confirms it with no partition
+    y = canonicalize(type_from_source("Y = obj(maub, [f: Y, g: Y]); root Y"))
+    calls = _count_partitions(monkeypatch)
+    x = type_from_source("X = obj(maub, [f: X, g: Y]); Y = obj(maub, [f: Y, g: Y]); root X")
+    assert canonicalize(x) is y
+    x1 = type_from_source("A = obj(maub, [f: B, g: A]); B = obj(maub, [f: A, g: B]); root B")
+    assert canonicalize(x1) is y
+    assert calls == []
+
+
+def test_canonical_images_agree_with_the_partition_path(monkeypatch):
+    # several roots looked up share one image: node for node, the nodes
+    # the partition path gives
+    import coinfer.term_core as term_core
+
+    _fresh_table(monkeypatch)
+    rng = seeded(7700)
+    real = term_core._lookup
+    calls = _count_partitions(monkeypatch)
+    for k in range(30):
+        roots = [random_type(rng, rng.randint(2, 8)) for _ in range(3)]
+        roots.append(rng.choice(subterm_closure(roots[0])))
+        monkeypatch.setattr(term_core, "_lookup", lambda *args: False)
+        partitioned = canonical_images(roots)
+        monkeypatch.setattr(term_core, "_lookup", real)
+        del calls[:]
+        looked_up = canonical_images([inflate(r, rng) for r in roots] + roots)
+        assert {u: looked_up[u] for u in partitioned} == partitioned
+        assert calls == []
+
+
+def test_threads_get_one_node_per_class():
+    # every thread canonicalizes its own copies of the same new classes,
+    # all at once and switching often: each class gets one node
+    import threading
+    import time
+
+    rng = seeded(7800)
+    types = [_renamed(random_type(rng, rng.randint(3, 9)), "thread%d" % (k % 5))
+             for k in range(60)]
+    workers = 2 * (os.cpu_count() or 2) + 1
+    copies = [[inflate(t, rng) for t in types] for _ in range(workers)]
+    start = threading.Barrier(workers)
+    got = [None] * workers
+
+    def work(w):
+        start.wait(timeout=30)
+        got[w] = [canonicalize(t) for t in copies[w]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,), daemon=True)
+                   for w in range(workers)]
+        began = time.perf_counter()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=max(0.1, 30 - (time.perf_counter() - began)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and None not in got
+    for nodes in got[1:]:
+        assert len(nodes) == len(types) and all(a is b for a, b in zip(nodes, got[0]))
+    for t, c in zip(types, got[0]):
+        assert trees_equal_oracle(t, c) and canonicalize(inflate(t, rng)) is c
