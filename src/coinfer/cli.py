@@ -281,6 +281,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    for option in ("memo_limit", "count"):
+        if getattr(args, option, 1) < 1:
+            print("error: --%s must be positive" % option.replace("_", "-"), file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except BudgetExceeded as exc:

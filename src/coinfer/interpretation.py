@@ -1,15 +1,18 @@
 """Membership of values in regular types, and value sampling.
 
-member decides v ∈ t as one greatest fixpoint over pairs (value node,
-non-union type node).  A type node's alternatives are the non-union
-nodes it reaches through union edges alone, so a union-only cycle is
-empty.  An int pair needs an integer value; an object pair the type's
-class and fields in the value, and each of its fields is a group of
-alternative pairs.  Counters spread refutation (Dowling and Gallier
-1984; Liu and Smolka, ICALP 1998): a group dies when all of its
-alternatives have, a pair with any of its groups, and v ∈ t iff some
-alternative of t survives.  Every cycle left passes through an object
-rule, so nothing tracks paths, and the cost is linear in the pair edges.
+member decides v ∈ t over pairs (value node, non-union type node).  A
+type node's alternatives are the non-union nodes it reaches through
+union edges alone, so a union-only cycle is empty.  An int pair needs an
+integer value; an object pair the type's class and fields in the value,
+and each of its fields is a group of alternative pairs.  Where every
+group leaves one consistent pair, membership is a deterministic walk
+(Comon et al., TATA, ch. 1) that follows it, and fails at a group with
+none.  A group with two hands the call to one greatest fixpoint, whose
+counters spread refutation (Dowling and Gallier 1984; Liu and Smolka,
+ICALP 1998): a group dies when all of its alternatives have, a pair with
+any of its groups, and v ∈ t iff some alternative of t survives.  Every
+cycle left passes through an object rule, so nothing tracks paths, and
+both cost time linear in the pair edges and count the pairs they make.
 
 sample_values draws members of a type: the canonical witness first, one
 deliberately cyclic value when the type admits any, then seeded random
@@ -39,13 +42,41 @@ DEFAULT_LIMIT = 1_000_000
 
 
 def member(v, t, limit=DEFAULT_LIMIT):
-    """True iff the value inhabits the type.
+    """True iff the value inhabits the type, by the walk of the module
+    docstring.  A group with two consistent pairs, or more than limit
+    pairs examined, hands the whole call to _member_fixpoint, which
+    raises BudgetExceeded when it makes more than limit pairs."""
+    alts_of = {}  # type uid -> its alternatives
+    ok = {}       # (value uid, alternative uid) examined -> consistent
+    todo = [(v, t)]
+    while todo:
+        a, b = todo.pop()
+        alts = alts_of.get(b.uid) if type(b) is UnionType else (b,)
+        if alts is None:
+            alts = alts_of[b.uid] = union_alternatives(b)
+        live, fresh = 0, None
+        for s in alts:
+            key = (a.uid, s.uid)
+            good = ok.get(key)
+            if good is None:
+                if len(ok) >= limit:
+                    return _member_fixpoint(v, t, limit)
+                good = ok[key] = (type(a) is IntValue if type(s) is IntType else
+                                  type(a) is ObjValue and a.class_name == s.class_name
+                                  and s.fields.keys() <= a.fields.keys())
+                if good:
+                    fresh = s
+            live += good
+        if live != 1:
+            return live > 1 and _member_fixpoint(v, t, limit)
+        if type(fresh) is ObjType:
+            todo += [(a.fields[f], c) for f, c in fresh.fields.items()]
+    return True
 
-    One greatest fixpoint over pairs (value node, non-union type node),
-    decided by counter refutation as the module docstring describes.
-    limit bounds the number of pairs created; passing it raises
-    BudgetExceeded.
-    """
+
+def _member_fixpoint(v, t, limit=DEFAULT_LIMIT):
+    """member as the counter-driven greatest fixpoint of the module
+    docstring; creating more than limit pairs raises BudgetExceeded."""
     alts_of = {}   # type uid -> its alternatives
     ids = {}       # (value uid, type uid) -> pair id
     dead = []      # pair id -> refuted
@@ -356,7 +387,8 @@ def sample_values(t, count, seed):
 
     def emit(v):
         if v is not None and distinct.add(v):
-            assert member(v, t), "sampler produced a non-member"
+            if not member(v, t):
+                raise AssertionError("sampler produced a non-member")
             out.append(v)
 
     emit(wit(t))

@@ -56,10 +56,10 @@ class ObjType(TypeTerm):
     __slots__ = ("class_name", "fields")
 
     def __init__(self, class_name, fields=None):
-        super().__init__()
+        self.uid = next(_uids)
         self.class_name = class_name
         # field name -> TypeTerm, kept sorted by name
-        self.fields = dict(sorted((fields or {}).items()))
+        self.fields = dict(sorted(fields.items())) if fields else {}
 
     def __repr__(self):
         return "<type#%d obj %s/%d>" % (self.uid, self.class_name, len(self.fields))
@@ -69,7 +69,7 @@ class UnionType(TypeTerm):
     __slots__ = ("left", "right")
 
     def __init__(self, left=None, right=None):
-        super().__init__()
+        self.uid = next(_uids)
         self.left = left
         self.right = right
 
@@ -82,15 +82,12 @@ class ValueTerm:
 
     __slots__ = ("uid",)
 
-    def __init__(self):
-        self.uid = next(_uids)
-
 
 class IntValue(ValueTerm):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        super().__init__()
+        self.uid = next(_uids)
         self.value = value
 
     def __repr__(self):
@@ -101,9 +98,9 @@ class ObjValue(ValueTerm):
     __slots__ = ("class_name", "fields")
 
     def __init__(self, class_name, fields=None):
-        super().__init__()
+        self.uid = next(_uids)
         self.class_name = class_name
-        self.fields = dict(sorted((fields or {}).items()))
+        self.fields = dict(sorted(fields.items())) if fields else {}
 
     def __repr__(self):
         return "<val#%d obj %s/%d>" % (self.uid, self.class_name, len(self.fields))
@@ -302,130 +299,28 @@ def _expected(fail, toks, k, what):
     fail(k, "expected %s, found %r" % (what, toks[k] or "end of input"))
 
 
-def _parse_expr(toks, i, values, refs, fail, underscore=False):
-    """The expression that starts at token i, as a node or, for a lone
-    name, that name; and the index after it.  A name stays as its string
-    in its slot and is appended to refs; nodes get no uid and keep their
-    fields as (name, child) pairs in source order until link_equations.
-    fail(k, msg) raises the error of token k.  With underscore, a name may
-    also start with "_", as in the query grammar.
+def parse_equations(toks, i, values, fail, more, underscore=False):
+    """Equations VAR '=' expr ';' from token i while more(i) holds, each
+    expression read by one LL(1) loop over an explicit stack of open
+    parentheses and objects, so nesting costs no recursion.  Returns the
+    bindings name -> node or, for an alias, the name it stands for; the
+    index after them; and the first name they refer to but do not bind,
+    as (binding that refers to it, name), or None.  Names stay in their
+    slots, and nodes get no uid and keep their fields as (name, child)
+    pairs in source order, until link_equations.  fail(k, msg) raises the
+    error of token k; with underscore a name may also start with "_".
 
     expr := atom ('\\/' atom)*, right associative; values have no unions.
     atom := '(' expr ')' | VAR | INT | 'int'
           | 'obj' '(' IDENT ',' '[' (IDENT sep expr (',' IDENT sep expr)*)? ']' ')'
-    An LL(1) loop over an explicit stack of open parentheses and open
-    object fields, so nesting depth costs no recursion.
     """
     sep = "->" if values else ":"
     obj = ObjValue if values else ObjType
     new = object.__new__
-    stack = []  # ["(", outer parts] or ["[", outer parts, class, fields, seen, field]
-    parts = []  # the atoms before each '\\/' of the innermost open expression
-    while True:
-        t = toks[i]
-        if t == "obj":
-            if toks[i + 1] != "(":
-                _expected(fail, toks, i + 1, "'('")
-            cls = toks[i + 2]
-            if _kind(cls) != "IDENT":
-                _expected(fail, toks, i + 2, "class name")
-            if toks[i + 3] != ",":
-                _expected(fail, toks, i + 3, "','")
-            if toks[i + 4] != "[":
-                _expected(fail, toks, i + 4, "'['")
-            f = toks[i + 5]
-            if f == "]":
-                if toks[i + 6] != ")":
-                    _expected(fail, toks, i + 6, "')'")
-                i += 7
-                atom = new(obj)
-                atom.class_name, atom.fields = cls, []
-            else:
-                if _kind(f) != "IDENT":
-                    _expected(fail, toks, i + 5, "field name")
-                if toks[i + 6] != sep:
-                    _expected(fail, toks, i + 6, "'%s'" % sep)
-                stack.append(["[", parts, cls, [], {f}, f])
-                parts = []
-                i += 7
-                continue
-        elif t[:1].isupper() and t[0].isalpha() or underscore and t[:1] == "_":  # a name
-            refs.append(t)
-            i += 1
-            atom = t
-        elif t == "(":
-            stack.append(["(", parts])
-            parts = []
-            i += 1
-            continue
-        elif t == "int":
-            if values:
-                fail(i, "'int' is a type, not a value")
-            i += 1
-            atom = new(IntType)
-        elif _kind(t) == "INT":
-            if not values:
-                fail(i, "integer literals only appear in value terms")
-            i += 1
-            atom = new(IntValue)
-            atom.value = int(t)
-        elif _kind(t) == "IDENT":
-            fail(i, "unexpected identifier %r" % t)
-        else:
-            _expected(fail, toks, i, "a term")
-        # an atom is complete: continue its union, or close the expression
-        # and with it the innermost open frame
-        while True:
-            if toks[i] == "\\/" and not values:
-                parts.append(atom)
-                i += 1
-                break
-            while parts:
-                union = new(UnionType)
-                union.left, union.right = parts.pop(), atom
-                atom = union
-            if not stack:
-                return atom, i
-            frame = stack.pop()
-            parts = frame[1]
-            if frame[0] == "(":
-                if toks[i] != ")":
-                    _expected(fail, toks, i, "')'")
-                i += 1
-                continue
-            fields, seen = frame[3], frame[4]
-            fields.append((frame[5], atom))
-            if toks[i] == ",":
-                f = toks[i + 1]
-                if _kind(f) != "IDENT":
-                    _expected(fail, toks, i + 1, "field name")
-                if f in seen:
-                    fail(i + 1, "duplicate field %s" % f)
-                seen.add(f)
-                if toks[i + 2] != sep:
-                    _expected(fail, toks, i + 2, "'%s'" % sep)
-                frame[5] = f
-                stack.append(frame)
-                parts = []
-                i += 3
-                break
-            if toks[i] != "]":
-                _expected(fail, toks, i, "']'")
-            if toks[i + 1] != ")":
-                _expected(fail, toks, i + 1, "')'")
-            i += 2
-            atom = new(obj)
-            atom.class_name, atom.fields = frame[2], fields
-
-
-def parse_equations(toks, i, values, fail, more, underscore=False):
-    """Equations VAR '=' expr ';' from token i while more(i) holds, read
-    by _parse_expr.  Returns the bindings name -> node or, for an alias,
-    the name it stands for; the index after them; and the first name they
-    refer to but do not bind, as (binding that refers to it, name), or
-    None.  link_equations makes the bindings a term graph."""
     bindings = {}
-    refs = []  # per binding, the names it refers to in source order
+    refs = []   # per binding, the names it refers to in source order
+    stack = []  # [outer parts] for '(', [outer parts, class, fields, seen, field] for 'obj'
+    parts = []  # the atoms before each '\\/' of the innermost open expression
     while more(i):
         name = toks[i]
         if not (name[:1].isupper() and name[0].isalpha() or underscore and name[:1] == "_"):
@@ -434,8 +329,110 @@ def parse_equations(toks, i, values, fail, more, underscore=False):
             fail(i, "duplicate binding for %s" % name)
         if toks[i + 1] != "=":
             _expected(fail, toks, i + 1, "'='")
-        refs.append([])
-        bindings[name], i = _parse_expr(toks, i + 2, values, refs[-1], fail, underscore)
+        names = []
+        refs.append(names)
+        i += 2
+        while True:
+            t = toks[i]
+            c = t[:1]
+            if t == "obj":
+                if toks[i + 1] != "(":
+                    _expected(fail, toks, i + 1, "'('")
+                cls = toks[i + 2]
+                if not (cls[:1].isalpha() and not cls[0].isupper() or cls[:1] == "_"):
+                    _expected(fail, toks, i + 2, "class name")
+                if toks[i + 3] != ",":
+                    _expected(fail, toks, i + 3, "','")
+                if toks[i + 4] != "[":
+                    _expected(fail, toks, i + 4, "'['")
+                f = toks[i + 5]
+                if f == "]":
+                    if toks[i + 6] != ")":
+                        _expected(fail, toks, i + 6, "')'")
+                    i += 7
+                    atom = new(obj)
+                    atom.class_name, atom.fields = cls, []
+                else:
+                    if not (f[:1].isalpha() and not f[0].isupper() or f[:1] == "_"):
+                        _expected(fail, toks, i + 5, "field name")
+                    if toks[i + 6] != sep:
+                        _expected(fail, toks, i + 6, "'%s'" % sep)
+                    stack.append([parts, cls, [], None, f])
+                    parts = []
+                    i += 7
+                    continue
+            elif c.isupper() and c.isalpha() or underscore and c == "_":  # a name
+                names.append(t)
+                i += 1
+                atom = t
+            elif t == "(":
+                stack.append([parts])
+                parts = []
+                i += 1
+                continue
+            elif c.isdecimal() or c == "-" and t[1:2].isdecimal():
+                if not values:
+                    fail(i, "integer literals only appear in value terms")
+                i += 1
+                atom = new(IntValue)
+                atom.value = int(t)
+            elif t == "int":
+                if values:
+                    fail(i, "'int' is a type, not a value")
+                i += 1
+                atom = new(IntType)
+            elif c.isalpha() or c == "_":
+                fail(i, "unexpected identifier %r" % t)
+            else:
+                _expected(fail, toks, i, "a term")
+            # an atom is complete: continue its union, or close the expression
+            # and with it the innermost open parenthesis or object
+            while True:
+                if toks[i] == "\\/" and not values:
+                    parts.append(atom)
+                    i += 1
+                    break
+                while parts:
+                    union = new(UnionType)
+                    union.left, union.right = parts.pop(), atom
+                    atom = union
+                if not stack:
+                    break
+                frame = stack[-1]
+                if len(frame) == 1:
+                    stack.pop()
+                    parts = frame[0]
+                    if toks[i] != ")":
+                        _expected(fail, toks, i, "')'")
+                    i += 1
+                    continue
+                fields = frame[2]
+                fields.append((frame[4], atom))
+                if toks[i] == ",":
+                    f = toks[i + 1]
+                    if not (f[:1].isalpha() and not f[0].isupper() or f[:1] == "_"):
+                        _expected(fail, toks, i + 1, "field name")
+                    seen = frame[3] = frame[3] or {fields[0][0]}  # made at the second field
+                    if f in seen:
+                        fail(i + 1, "duplicate field %s" % f)
+                    seen.add(f)
+                    if toks[i + 2] != sep:
+                        _expected(fail, toks, i + 2, "'%s'" % sep)
+                    frame[4] = f
+                    i += 3
+                    break
+                if toks[i] != "]":
+                    _expected(fail, toks, i, "']'")
+                if toks[i + 1] != ")":
+                    _expected(fail, toks, i + 1, "')'")
+                i += 2
+                stack.pop()
+                parts = frame[0]
+                atom = new(obj)
+                atom.class_name, atom.fields = frame[1], fields
+            if not (stack or parts):  # no union and no object goes on: the expression ends
+                break
+        bindings[name] = atom
         if toks[i] != ";":
             _expected(fail, toks, i, "';'")
         i += 1
@@ -474,21 +471,27 @@ def link_equations(bindings):
             pending.append(node)
         for alias in chain:
             named[alias] = node
-
-    def link(sub):
-        if type(sub) is str:
-            return named[sub]
-        sub.uid = next(uids)
-        pending.append(sub)
-        return sub
-
     while pending:
         node = pending.pop()
         kind = type(node)
         if kind is UnionType:
-            node.left, node.right = link(node.left), link(node.right)
+            slots = ((0, node.left), (1, node.right))
         elif kind is ObjType or kind is ObjValue:
-            node.fields = dict(sorted([(f, link(sub)) for f, sub in node.fields]))
+            slots = node.fields
+        else:
+            continue
+        kids = []
+        for f, sub in slots:
+            if type(sub) is str:
+                sub = named[sub]
+            else:
+                sub.uid = next(uids)
+                pending.append(sub)
+            kids.append((f, sub))
+        if kind is UnionType:
+            node.left, node.right = kids[0][1], kids[1][1]
+        else:
+            node.fields = dict(sorted(kids))
     return named
 
 

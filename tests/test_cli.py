@@ -129,6 +129,20 @@ def test_subtype_budget_reported_as_exit3(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "subtype"
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["subtype", "{evn}", "{nat}", "--memo-limit", "0"], "--memo-limit"),
+    (["member", "{zero}", "{nat}", "--memo-limit", "-1"], "--memo-limit"),
+    (["sample", "{nat}", "--count", "0"], "--count"),
+    (["sample", "{nat}", "--count", "-3", "--format", "json"], "--count"),
+])
+def test_budgets_below_one_are_usage_errors(tmp_path, capsys, argv, option):
+    files = {"evn": put(tmp_path, "evn.ty", EVN), "nat": put(tmp_path, "nat.ty", NAT),
+             "zero": put(tmp_path, "zero.val", "V = obj(zero, []); root V;")}
+    assert main([a.format(**files) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: %s must be positive\n" % option
+
+
 def test_empty_bottom_prints_empty(tmp_path, capsys):
     bot = put(tmp_path, "bot.ty", BOT)
     assert main(["empty", bot]) == 1

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -208,9 +211,25 @@ def tricky_type(rng):
     return t
 
 
-def test_member_agrees_with_fixpoint_oracle():
+FIXPOINT = interpretation._member_fixpoint
+
+
+def count_handovers(monkeypatch):
+    """The calls member hands to the fixpoint from now on."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return FIXPOINT(*args)
+
+    monkeypatch.setattr(interpretation, "_member_fixpoint", counting)
+    return calls
+
+
+def test_member_agrees_with_fixpoint_oracle(monkeypatch):
+    handed = count_handovers(monkeypatch)
     rng = seeded(2024)
-    members = cyclic = 0
+    calls = members = cyclic = 0
     for _ in range(700):
         t = tricky_type(rng)
         values = [random_value(rng, rng.randint(1, 6), max_int=2), follow(t, rng)]
@@ -220,10 +239,110 @@ def test_member_agrees_with_fixpoint_oracle():
             values += [w, inflate(w, rng)]
         for v in values:
             expect = member_oracle(v, t)
-            assert member(v, t) == expect, (print_type(t), print_value(v))
+            assert member(v, t) == expect == FIXPOINT(v, t), (print_type(t), print_value(v))
+            calls += 1
             members += expect
             cyclic += expect and has_cycle(v)
     assert members > 1000 and cyclic > 200
+    assert 100 < len(handed) < calls - 2000  # both the walk and the fixpoint answer
+
+
+# --- where the walk hands over to the fixpoint ---------------------------------
+
+# a union deep in the value: the walk follows n s-objects to the end's x
+LONG = ("L = obj(s, [n: L]) \\/ obj(end, [x: U]);"
+        " U = obj(c, [p: int]) \\/ obj(c, [q: int]) \\/ obj(c, [p: int, q: int]); root L")
+
+
+def long_value(n, tail):
+    chain = "".join("V%d = obj(s, [n -> V%d]); " % (i, i + 1) for i in range(n))
+    return value_from_source(chain + "V%d = obj(end, [x -> %s]); root V0" % (n, tail))
+
+
+@pytest.mark.parametrize("tail, verdict, handed", [
+    ("obj(c, [q -> 2])", True, False),                         # one alternative fits
+    ("obj(c, [r -> 2])", False, False),                        # none fits
+    ("obj(c, [p -> 1, q -> 2])", True, True),                  # all three fit
+    ("obj(c, [p -> 1, q -> obj(d, [])])", True, True),         # three fit, one holds
+    ("obj(c, [p -> obj(d, []), q -> obj(d, [])])", False, True),  # three fit, none holds
+    ("obj(c, [p -> obj(c, []), r -> 1])", False, False),       # the one that fits fails below
+])
+def test_union_deep_in_a_long_value(monkeypatch, tail, verdict, handed):
+    calls = count_handovers(monkeypatch)
+    t = type_from_source(LONG)
+    for n in (0, 3, 100):
+        v = long_value(n, tail)
+        assert member(v, t) == verdict == member_oracle(v, t) == FIXPOINT(v, t)
+    v = long_value(5000, tail)  # the oracle is quadratic here
+    assert member(v, t) == verdict == FIXPOINT(v, t)
+    assert bool(calls) == handed
+
+
+@pytest.mark.parametrize("value, verdict, handed", [
+    ("obj(c, [p -> 1])", True, False),
+    ("obj(c, [q -> 1])", False, False),
+    ("obj(c, [p -> 1, q -> obj(e, [])])", True, True),
+    ("obj(c, [p -> obj(e, []), r -> 1])", False, True),  # fits [p] and [p, r], both fail
+    ("obj(c, [])", False, False),
+    ("obj(d, [p -> 1])", False, False),
+])
+def test_same_class_alternatives_with_different_fields(monkeypatch, value, verdict, handed):
+    calls = count_handovers(monkeypatch)
+    t = type_from_source(
+        "T = obj(c, [p: int]) \\/ obj(c, [q: obj(e, [])]) \\/ obj(c, [p: int, r: int]); root T")
+    v = value_from_source("V = %s; root V" % value)
+    assert member(v, t) == verdict == member_oracle(v, t) == FIXPOINT(v, t)
+    assert bool(calls) == handed
+
+
+def test_bisimilar_duplicate_alternatives(monkeypatch):
+    # a type joined with its inflated copy offers each alternative twice,
+    # as two bisimilar nodes, so a member fits both
+    calls = count_handovers(monkeypatch)
+    rng = seeded(20)
+    for name, t in number_types().items():
+        twice, wide = UnionType(t, inflate(t, rng)), inflate(t, rng)
+        values = [v for v in (witness(t), follow(t, rng), follow(wide, rng)) if v is not None]
+        values += [mutated(v, rng) for v in values]
+        for v in values + [inflate(v, rng) for v in values]:
+            expect = member_oracle(v, t)
+            assert member(v, twice) == expect == FIXPOINT(v, twice), name
+            assert member(v, wide) == expect == FIXPOINT(v, wide), name
+    assert len(calls) > 20
+    calls.clear()
+    assert member(ObjValue("a"), UnionType(ObjType("a"), ObjType("a"))) and len(calls) == 1
+
+
+def pairs_needed(v, t):
+    """The least limit under which the fixpoint decides v ∈ t."""
+    low, high = 0, 1
+    while True:
+        try:
+            FIXPOINT(v, t, limit=high)
+            break
+        except BudgetExceeded:
+            low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            FIXPOINT(v, t, limit=mid)
+            high = mid
+        except BudgetExceeded:
+            low = mid
+    return high
+
+
+def test_member_budget_at_the_pairs_examined():
+    nat, t = type_from_source(NAT), type_from_source(LONG)
+    cases = [(long_value(n, tail), t) for n in (0, 40)
+             for tail in ("obj(c, [q -> 2])", "obj(c, [p -> 1, q -> 2])")]
+    cases += [(sample, nat) for sample in sample_values(nat, 4, seed=3)]
+    cases += [(doubled_cycle(30), type_from_source(DOUBLED))]
+    for v, t in cases:
+        n = pairs_needed(v, t)
+        with pytest.raises(BudgetExceeded):
+            member(v, t, limit=n - 1)
+        assert member(v, t, limit=n) and member(v, t, limit=n + 1)
 
 
 # --- sampling ----------------------------------------------------------------
@@ -289,6 +408,25 @@ def test_samples_all_members():
             produced += 1
             assert member(v, t)
     assert produced > 100
+
+
+_NON_MEMBER_SCRIPT = """
+from coinfer import interpretation
+from coinfer.term_core import type_from_source
+interpretation.member = lambda v, t: False
+try:
+    interpretation.sample_values(type_from_source("T = int; root T"), 2, 0)
+except AssertionError as exc:
+    print(exc)
+"""
+
+
+def test_sampler_recheck_holds_under_python_O():
+    # the member re-check is no assert statement, which -O would remove
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(interpretation.__file__)))
+    out = subprocess.run([sys.executable, "-O", "-c", _NON_MEMBER_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "sampler produced a non-member"
 
 
 # --- properties ---------------------------------------------------------------

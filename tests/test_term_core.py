@@ -652,6 +652,72 @@ def test_reader_agrees_with_reference():
     assert read > len(sources)  # some mutated sources still read
 
 
+def _agree(src, values):
+    """The error of src, the same from the reader as from the reference,
+    which reads the same graph when there is none."""
+    new, new_error = _read(_new_reader, src, values)
+    old, old_error = _read(reference_reader, src, values)
+    assert new_error == old_error, src
+    if new is not None:
+        _assert_same_graph(new, old, values, 0)
+    return new_error
+
+
+def test_reader_agrees_on_a_long_flat_value_with_comments():
+    rng = seeded(1000)
+    eqs = []
+    for k in range(1000):
+        if k % 3 == 2:
+            eqs.append("N%d = %d;" % (k, rng.randint(-9, 9)))
+        else:
+            inner = rng.choice(("N%d" % rng.randrange(1000), "obj(d, [])", "obj(e, [h -> -4])"))
+            eqs.append("N%d = obj(c%d, [f -> N%d, g -> %s]);" % (k, k % 4, (k + 1) % 1000, inner))
+    toks = scan(" ".join(eqs) + " root N0;", _TYPE_TOKENS)[:-1]
+    gaps = (" ", "\n", " # a comment -> ] ;\n", "\t#\n  ")
+    src = "".join(t + rng.choice(gaps) for t in toks)
+    assert _agree(src, True) is None
+    for _ in range(40):  # one token dropped, the comments kept
+        k = rng.randrange(len(toks))
+        bad = "".join(t + rng.choice(gaps) for j, t in enumerate(toks) if j != k)
+        _agree(bad, True)
+
+
+@pytest.mark.parametrize("prelude", [
+    "_X = obj(a, [f: _Y, g: _X \\/ int]); _Y = int \\/ (obj(b, []) \\/ _X);",
+    "_X = _Y; _Y = obj(a, [f: _Y, g: _Y]);",
+    "_X = obj(a, [f: _Y, g: int, f: int]); _Y = int;",
+    "_X = obj(a, [f: _Z]);",
+    "_X = obj(a, [f: (_X]);",
+    "_X = _Y; _Y = _X;",
+    "_X = obj(a, [f: 3]);",
+])
+def test_underscore_names_in_a_query_prelude_agree_with_reference(prelude):
+    # the reference reads the prelude with each "_" as "Q": the lengths,
+    # and so the positions, stay the same
+    from coinfer.cosld_engine import EngineError, parse_query
+
+    old, old_error = _read(reference_reader, prelude.replace("_", "Q") + " root QX", False)
+    try:
+        got = parse_query(prelude + " p(_X)").types["_X"]
+    except EngineError as exc:
+        assert old_error is not None
+        assert str(exc).split(": ", 1)[1] == old_error[1].replace("Q", "_")
+    else:
+        assert old_error is None
+        _assert_same_graph(got, old, False, 0)
+
+
+@pytest.mark.parametrize("src, values", [
+    ("X = obj(a, [f: int, g: int, f: int]); root X", False),
+    ("X = obj(a, [f: X, g: X, g: X \\/ int]); root X", False),
+    ("V = obj(a, [f -> 1, g -> V, f -> obj(b, [])]); root V", True),
+    ("V = obj(a, [f -> obj(a, [h -> 1, k -> 2, h -> 3]), g -> V]); root V", True),
+])
+def test_duplicate_field_in_third_position(src, values):
+    error = _agree(src, values)
+    assert error is not None and "duplicate field" in error[1]
+
+
 # ---------------------------------------------------------------------------
 # canonical nodes are leaves of the canonicalizing walk
 
