@@ -13,6 +13,7 @@ import json as _json
 import re
 import threading
 from collections import Counter
+from bisect import bisect_right
 from functools import partial
 
 _uids = itertools.count(1)
@@ -528,8 +529,6 @@ def resolve(system):
     return system.bindings[system.root]
 
 
-resolve_value = resolve
-
 
 def type_from_source(source):
     return resolve(parse_type(source))
@@ -544,25 +543,23 @@ def value_from_source(source):
 
 _canonical = {}        # key of a component's start block -> its canonical node
 _canonical_uids = set()
-_by_summary = {}       # summary -> canonical node on a cycle, or a list when they collide
+_by_summary = {}       # summary -> the canonical nodes on a cycle filed under it
 _lock = threading.Lock()  # taken to add canonical nodes, never to read them
 _START_CANDIDATES = 4  # start blocks serialized and compared per component
 _SUMMARY_ROUNDS = 3    # signing rounds in a summary
+_UNION_DEPTH = 8       # a union's distance to a non-union node is read up to this
 
 
 def _partition(kids, shapes):
     """Coarsest bisimulation-stable partition of the nodes 0..n-1 with the
     given children (as indices) and shapes; returns a block id per node.
-
-    Blocks start as the local shapes.  Each pass signs the dirty nodes
-    (at first all of them) by their children's block ids as they stood
-    at the start of the pass, and only then splits every block whose
-    members disagree.  The largest part keeps the block's id, so a node
-    moves to a block at most half the size of its old one, O(log n)
-    times, and only the parents of moved nodes are dirty in the next
-    pass: O(m log n) in all (Hopcroft 1971; Valmari & Lehtinen 2008).
-    Members no dirty node touched keep the block's last shared signature.
-    """
+    Blocks start as the shapes.  Each pass signs the dirty nodes (at first
+    all) by their children's blocks as the pass found them, then splits
+    every block whose members disagree.  The largest part keeps the id, so
+    a node moves to a block at most half as big, O(log n) times, and only
+    the parents of moved nodes are dirty next: O(m log n) in all (Hopcroft
+    1971; Valmari & Lehtinen 2008).  Members no dirty node touched keep the
+    block's last shared signature."""
     parents = [[] for _ in kids]
     for i, ks in enumerate(kids):
         for c in ks:
@@ -646,9 +643,9 @@ def _scc_order(block_ids, block_children):
 
 
 def _serialize_block(start, block_children, block_shape, canon_of_block):
-    """Flat canonical serialization of the part of the block graph reachable
-    from `start` that has no canonical node yet; canonical exits are cited
-    by uid.  Iterative so deep chains do not recurse."""
+    """Flat serialization of the part of the block graph reachable from
+    start that has no canonical node yet, canonical exits cited by uid.
+    Iterative so deep chains do not recurse."""
     order = {}
     out = []
     todo = [start]
@@ -668,23 +665,16 @@ def _serialize_block(start, block_children, block_shape, canon_of_block):
 
 def _scc_key(scc, block_children, block_shape, canon_of_block):
     """(start block, intern key) of a strongly connected component of the
-    quotient: the key is the serialization from a start block chosen from
-    the structure alone, so every presentation of the component picks the
-    same one, and one key stands for the whole component.
-
-    Colours start as the shape plus the canonical uids of the exits.
-    While the rarest colour (least count, then least colour) has more
-    than a few blocks, colours are refined by the children's colours,
-    ranked in sorted order.  Of the blocks with the rarest colour, the one
-    with the least serialization is the start.  The blocks of a component
-    of the quotient are pairwise distinct, so refining always makes
-    progress and two blocks never serialize alike.
-    """
+    quotient: the serialization from a start block chosen from the
+    structure alone, so one key stands for every presentation of it.
+    Colours start as the shape and the exits' uids, and are refined by
+    the children's colours, ranked in sorted order, until the rarest
+    colour (least count, then least colour) has a few blocks; the one of
+    those with the least serialization is the start.  The blocks are
+    pairwise distinct, so refining makes progress."""
     def key(b):
         return _serialize_block(b, block_children, block_shape, canon_of_block)
 
-    if len(scc) == 1:
-        return scc[0], key(scc[0])
     inside = set(scc)
     colour = {b: (block_shape[b], tuple(-1 if c in inside else canon_of_block[c].uid
                                         for c in block_children[b]))
@@ -721,11 +711,9 @@ def _attach(node, shape, kids):
 
 def _intern(shape, kids):
     """The canonical node of a shape over canonical children, interned
-    under its local key, the shape and the children's uids.  Every
-    canonical node is found under its local key, the nodes of a cycle
-    too; a component's key, which _scc_key gives, starts with a tuple
-    tagged "n" and is never a local key.  A miss is checked again under
-    _lock, so two threads never make two nodes of one class."""
+    under its local key, the shape and the children's uids, which no
+    component key (a tuple of "n"-tagged tuples) is.  A miss is checked
+    again under _lock, so two threads never make two nodes of one class."""
     key = (shape, *[c.uid for c in kids])
     hit = _canonical.get(key)
     if hit is None:
@@ -739,11 +727,10 @@ def _intern(shape, kids):
 
 
 def _add_component(scc, start, key, block_children, block_shape, canon_of_block, summary):
-    """The node of block start in a component of the quotient that no key
-    found: made under _lock, unless another thread made it first.  Every
-    node is attached before any is published: each under its local key
-    and filed under its summary, and the start under the component's key
-    last.  So every canonical node on a cycle is filed."""
+    """The node of block start in a new component of the quotient, made
+    under _lock unless another thread made it first.  Every node is
+    attached before any is published under its local key and filed under
+    its summary, and the start under the component's key last."""
     with _lock:
         hit = _canonical.get(key)
         if hit is not None:
@@ -756,198 +743,208 @@ def _add_component(scc, start, key, block_children, block_shape, canon_of_block,
             node = fresh[b]
             _canonical_uids.add(node.uid)
             _canonical[(block_shape[b], *[c.uid for c in kids[b]])] = node
-            filed = _by_summary.get(summary[b])
-            if filed is None:
-                _by_summary[summary[b]] = node
-            elif type(filed) is list:
-                filed.append(node)
-            else:
-                _by_summary[summary[b]] = [filed, node]
+            _by_summary.setdefault(summary[b], []).append(node)
         _canonical[key] = fresh[start]
         return fresh[start]
 
 
-def _number(roots, leaves):
-    """One depth-first walk on an explicit stack over the closure of the
-    roots: (index, shapes, kids, canon, acyclic), the position of each
-    node by uid, and each position's shape, children and canonical node.
-    With leaves, a canonical node is a closed leaf, its own canonical
-    node, whose children are not read.  A node is hash-consed when it
-    closes, after all its children, if they all have a canonical node: so
-    every node that reaches no cycle gets one, and acyclic says whether
-    that is every node.
-    """
-    index = {}
-    shapes, kids, canon = [], [], []
-    acyclic = True
-    closed = _canonical_uids if leaves else ()
-    todo = roots[::-1]
-    while todo:
-        n = todo.pop()
-        if type(n) is int:  # node number n closes
-            ks = [canon[index[c.uid]] for c in kids[n]]
-            if None in ks:  # a child is on a cycle or reaches one
-                acyclic = False
-            else:
-                canon[n] = _intern(shapes[n], ks)
-            continue
-        uid = n.uid
-        if uid in index:
-            continue
-        i = index[uid] = len(shapes)
-        if uid in closed:
-            shapes.append(None)
-            kids.append(())
-            canon.append(n)
-            continue
-        todo.append(i)
-        shape, ks = _LOCAL[type(n)](n)
-        shapes.append(shape)
-        kids.append(ks)
-        canon.append(None)
-        todo += ks
-    return index, shapes, kids, canon, acyclic
+def _union_depth(u):
+    """The union edges from a union to the nearest non-union node, at most
+    _UNION_DEPTH, which is how far a union-only cycle is."""
+    layer, seen = (u.left, u.right), {u.uid}
+    for depth in range(1, _UNION_DEPTH):
+        for n in layer:
+            if type(n) is not UnionType:
+                return depth
+        seen.update([n.uid for n in layer])
+        layer = [c for n in layer for c in (n.left, n.right) if c.uid not in seen]
+    return _UNION_DEPTH
 
 
-def _summaries(shapes, kids):
-    """A summary per position: its shape, signed _SUMMARY_ROUNDS times
-    with its children's summaries and hashed, as a pass of _partition
-    signs a node with its children's blocks.  Bisimilar nodes get equal
-    summaries however they are presented, and a summary is one machine
-    word.  Plain loops: a comprehension per position costs a call."""
-    sig = shapes
-    for _ in range(_SUMMARY_ROUNDS):
-        signed = []
-        for s, ks in zip(sig, kids):
-            row = [s]
+def _summary(start, nodes, shapes, kids, canon):
+    """The summary of a position (or a node) whose exits are canonical:
+    its shape, a union's with its _union_depth, signed _SUMMARY_ROUNDS
+    times with its children's summaries and hashed, as _partition signs a
+    node.  Past an exit it reads the canonical graph, so bisimilar nodes
+    get equal summaries however presented, each one machine word."""
+    at = {start: 0}
+    ball, depth, sig, rows = [start], [0], [], []
+    for k, x in enumerate(ball):  # breadth first, so depth never falls
+        if type(x) is int:  # a position of the component
+            shape, ks, node = shapes[x], kids[x], nodes[x]
+        else:
+            (shape, ks), node = _LOCAL[type(x)](x), x
+        sig.append((shape, _union_depth(node)) if type(node) is UnionType else shape)
+        if depth[k] < _SUMMARY_ROUNDS:
+            row = []
             for c in ks:
-                row.append(sig[c])
+                if type(c) is int and canon[c] is not None:
+                    c = canon[c]
+                j = at.get(c)
+                if j is None:
+                    j = at[c] = len(ball)
+                    ball.append(c)
+                    depth.append(depth[k] + 1)
+                row.append(j)
+            rows.append(row)
+    for d in range(_SUMMARY_ROUNDS - 1, -1, -1):  # sign the nodes within d levels
+        signed = []
+        for k in range(bisect_right(depth, d)):  # plain loops: a comprehension costs a call
+            row = [sig[k]]
+            for j in rows[k]:
+                row.append(sig[j])
             signed.append(hash(tuple(row)))
         sig = signed
-    return sig
+    return sig[0]
 
 
-def _lookup(roots, index, shapes, kids, image, summary):
-    """Whether every root's class is interned already; if so, image then
-    maps every position of their closure to its canonical node.
-
-    A depth-first walk from the roots maps each position when it closes,
-    after its children, to the node found under its local key.  A
-    position reached again while still open is on a cycle, and its image,
-    if its class is interned, is a canonical node on a cycle too, all of
-    which are filed under their summaries.  A candidate filed under its
-    summary is confirmed by a walk of the position and it in lockstep, as
-    Hopcroft and Karp test deterministic automata for equivalence ("A
-    linear algorithm for testing equivalence of finite automata", 1971):
-    each position met is mapped to one canonical node, shapes equal and
-    children paired in order, so a walk that completes is a bisimulation.
-    Two distinct canonical nodes are never bisimilar, so a position met
-    again with another node disproves the candidate, and the walk's pairs
-    are undone.  The walks undone meet a bounded multiple of the
-    positions, so the lookup is linear.
-    """
-    budget = 4 * len(shapes) + 16
-    opened = set()
-    todo = [index[r.uid] for r in reversed(roots)]
-    while todo:
-        i = todo.pop()
-        if i < 0:  # position ~i closes, its children mapped
-            i = ~i
-            if image[i] is None:
-                image[i] = _canonical.get((shapes[i], *[image[c].uid for c in kids[i]]))
-                if image[i] is None:
-                    return False
-            continue
-        if image[i] is not None:
-            continue
-        if i not in opened:
-            opened.add(i)
-            todo.append(~i)
-            todo += kids[i]
-            continue
-        found = _by_summary.get(summary[i])  # i is on a cycle
-        for cand in (() if found is None else reversed(found) if type(found) is list
-                     else (found,)):
-            made = []
-            pairs = [(i, cand)]
-            while pairs:
-                j, node = pairs.pop()
-                had = image[j]
-                if had is None:
-                    shape, ks = _LOCAL[type(node)](node)
-                    if shape != shapes[j]:
-                        break
-                    image[j] = node
-                    made.append(j)
-                    pairs += zip(kids[j], ks)
-                elif had is not node:
+def _lookup(comp, nodes, shapes, kids, canon):
+    """Whether a cyclic component's class is interned: True, and then
+    canon maps each of its positions; False; or None when it gave up.
+    A canonical node bisimilar to a position on a cycle is on a cycle, so
+    it is filed under the summary of the component's first position.  Each
+    candidate there, newest first, is walked with the position in lockstep
+    (Hopcroft and Karp, "A linear algorithm for testing equivalence of
+    finite automata", 1971): shapes equal, children paired in order, each
+    position, an exit too, paired with one canonical node.  A position met
+    again with another node refutes the candidate, and the walk is undone,
+    until the walks undone pass a bound linear in the component."""
+    start = comp[0]
+    budget = 4 * len(comp) + 16
+    for cand in reversed(_by_summary.get(_summary(start, nodes, shapes, kids, canon), ())):
+        made = []
+        pairs = [(start, cand)]
+        while pairs:
+            j, node = pairs.pop()
+            had = canon[j]
+            if had is None:
+                shape, ks = _LOCAL[type(node)](node)
+                if shape != shapes[j]:
                     break
-            else:
-                break  # confirmed
-            for j in made:
-                image[j] = None
-            budget -= len(made) + 1
-            if budget < 0:
-                return False
+                canon[j] = node
+                made.append(j)
+                pairs += zip(kids[j], ks)
+            elif had is not node:
+                break
         else:
-            return False
-    return True
+            return True
+        for j in made:
+            canon[j] = None
+        budget -= len(made) + 1
+        if budget < 0:
+            return None
+    return False
 
 
-def _canonical_nodes(roots):
-    """(index, canon): the position of each node of the roots' closure by
-    uid, and the canonical node of each position.
-
-    Canonical nodes are leaves of the walk, so only the part of the
-    closure not yet canonical is read.  When that part has no cycle, its
-    nodes are hash-consed bottom-up with no partition (Filliatre &
-    Conchon, "Type-safe modular hash-consing", 2006), which is exact
-    because every canonical node is interned under its local key.  A
-    cyclic closure that met no canonical node is looked up first
-    (_lookup): a node on a cycle by its summary, confirmed by a lockstep
-    walk, and the nodes above by their local keys.  Only a miss is
-    minimized by _partition, and each component of the quotient is
-    interned under one key, its nodes filed under their summaries.  A new
-    cycle can be bisimilar to a canonical node it reaches (Mauborgne, "An
-    incremental unique representation for regular trees", 2000): when the
-    walk met one, the whole closure is walked again, canonical nodes'
-    children too, and partitioned with them.
-    """
-    index, shapes, kids, canon, acyclic = _number(roots, leaves=True)
-    if acyclic:
-        return index, canon
-    met = None in shapes  # the walk met a canonical node
-    if met:
-        index, shapes, kids, canon, _ = _number(roots, leaves=False)
-    kids = [[index[c.uid] for c in ks] for ks in kids]
-    summary = _summaries(shapes, kids)
-    if not met and _lookup(roots, index, shapes, kids, canon, summary):
-        return index, canon
-    block = _partition(kids, shapes)
-    rep = {b: i for i, b in enumerate(block)}  # any member: the partition is stable
-    block_children = {b: tuple([block[c] for c in kids[i]]) for b, i in rep.items()}
-    block_shape = {b: shapes[i] for b, i in rep.items()}
-
-    canon_of_block = {}
-    for scc in _scc_order(list(rep), block_children):
-        b = scc[0]
-        if len(scc) == 1 and b not in block_children[b]:
-            # canon holds only exact nodes: hash-consed, or confirmed by a lookup
-            canon_of_block[b] = canon[rep[b]] or _intern(
-                block_shape[b], [canon_of_block[c] for c in block_children[b]])
-            continue
-        start, key = _scc_key(scc, block_children, block_shape, canon_of_block)
+def _close(comp, gave_up, nodes, shapes, kids, canon):
+    """Give canonical nodes to a cyclic component no lookup found: it is
+    partitioned alone, its exits' uids in its shapes, and its quotient is
+    interned under one key (_scc_key).  After a miss no position is
+    bisimilar to a canonical node.  After a lookup gave up, one may be
+    (Mauborgne, "An incremental unique representation for regular trees",
+    2000): to a node on a cycle through an exit, so those cycles are
+    partitioned with it and a position in a block with a canonical node
+    takes it; or to one with the same exits and quotient, found by key."""
+    members = list(comp)  # positions, then canonical nodes
+    if gave_up:
+        exits = dict.fromkeys(canon[c] for p in comp for c in kids[p] if canon[c] is not None)
+        edges, todo = {}, list(exits)
+        while todo:
+            n = todo.pop()
+            if n not in edges:
+                edges[n] = _children(n)
+                todo += edges[n]
+        members += [n for scc in _scc_order(list(exits), edges)
+                    if (len(scc) > 1 or scc[0] in edges[scc[0]]) and not exits.keys().isdisjoint(scc)
+                    for n in scc]
+    where = {m: k for k, m in enumerate(members)}
+    refs, local_shapes, local_kids = [], [], []
+    for m in members:
+        if type(m) is int:
+            shape, ks = shapes[m], [c if c in where else canon[c] for c in kids[m]]
+        else:
+            shape, ks = _LOCAL[type(m)](m)
+        refs.append(ks)
+        local_shapes.append((shape, *[None if c in where else c.uid for c in ks]))
+        local_kids.append([where[c] for c in ks if c in where])
+    block = _partition(local_kids, local_shapes)
+    canon_of_block = {c: c for ks in refs for c in ks if c not in where}  # the exits
+    canon_of_block.update((block[k], members[k]) for k in range(len(comp), len(members)))
+    rep = {block[k]: k for k in reversed(range(len(comp))) if block[k] not in canon_of_block}
+    if rep:  # a new class
+        block_children = {b: tuple([block[where[c]] if c in where else c for c in refs[k]])
+                          for b, k in rep.items()}
+        block_shape = {b: shapes[comp[k]] for b, k in rep.items()}
+        start, key = _scc_key(list(rep), block_children, block_shape, canon_of_block)
         hit = _canonical.get(key) or _add_component(
-            scc, start, key, block_children, block_shape, canon_of_block,
-            {b: summary[rep[b]] for b in scc})
-        # both graphs are minimal and deterministic: walk them in step
-        todo = [(start, hit)]
+            list(rep), start, key, block_children, block_shape, canon_of_block,
+            {b: _summary(comp[k], nodes, shapes, kids, canon) for b, k in rep.items()})
+        todo = [(start, hit)]  # both graphs are minimal and deterministic: walk them in step
         while todo:
             b, node = todo.pop()
             if b not in canon_of_block:
                 canon_of_block[b] = node
                 todo.extend(zip(block_children[b], _children(node)))
-    return index, [canon_of_block[b] for b in block]
+    for k, p in enumerate(comp):
+        canon[p] = canon_of_block[block[k]]
+
+
+def _canonical_nodes(roots):
+    """(index, canon): the position of each node of the roots' closure by
+    uid, and the canonical node of each position.  One depth-first walk on
+    an explicit stack reads the part of the closure not canonical yet (a
+    canonical node is a leaf) and closes its strongly connected components
+    bottom-up, as Tarjan (1972) with Pearce's stack of closed positions
+    (2016) finds them, so a component's exits are canonical when it
+    closes.  A node on no cycle is hash-consed under its local key
+    (Filliatre & Conchon 2006), exact as every canonical node is interned
+    under its local key.  A cyclic component is looked up by summary
+    (_lookup), and only a miss is minimized, on its own (_close)."""
+    index = {}
+    nodes, shapes, kids, canon = [], [], [], []
+    low = {}    # each closed position's lowlink below its own number
+    stack = []  # closed positions whose component is open
+    todo = roots[::-1]
+    while todo:
+        n = todo.pop()
+        if type(n) is int:  # position n closes, after all its children
+            ks = [canon[index[c.uid]] for c in kids[n]]
+            if None not in ks:  # n is on no cycle
+                canon[n] = _intern(shapes[n], ks)
+                continue
+            ks = kids[n] = [index[c.uid] for c in kids[n]]
+            least = n
+            for c in ks:
+                if canon[c] is None and low.get(c, c) < least:
+                    least = low.get(c, c)
+            if least < n:
+                low[n] = least
+                stack.append(n)
+                continue
+            comp = [n]
+            while stack and stack[-1] > n:
+                comp.append(stack.pop())
+            found = _lookup(comp, nodes, shapes, kids, canon)
+            if not found:
+                _close(comp, found is None, nodes, shapes, kids, canon)
+            continue
+        uid = n.uid
+        if uid in index:
+            continue
+        index[uid] = len(shapes)
+        nodes.append(n)
+        if uid in _canonical_uids:
+            shapes.append(None)
+            kids.append(())
+            canon.append(n)
+            continue
+        todo.append(len(shapes))
+        shape, ks = _LOCAL[type(n)](n)
+        shapes.append(shape)
+        kids.append(ks)
+        canon.append(None)
+        todo += ks
+    return index, canon
 
 
 def canonicalize(t):
@@ -1100,8 +1097,6 @@ def term_to_json(t):
     return _json.dumps(term_to_dict(t), indent=2)
 
 
-_JSON_NODE = {"int": IntType, "union": UnionType, "obj": ObjType,
-              "intval": IntValue, "objval": ObjValue}
 _WRONG_SORT = {  # (values?, kind) -> the error of a constructor of the other sort
     (True, "int"): "type expression in a value system",
     (True, "obj"): "type expression in a value system",
@@ -1143,10 +1138,10 @@ def _from_json(text, values):
             if type(node) is not str:
                 raise TermError('a ref has a name string "name"')
             refs.append(node)
-        elif type(kind) is not str or kind not in _JSON_NODE:
+        elif type(kind) is not str or kind not in _NODE:
             raise TermError("unknown term kind %r" % kind)
         else:
-            node = new(_JSON_NODE[kind])
+            node = new(_NODE[kind])
             if (values, kind) in _WRONG_SORT:
                 wrong.append((node, _WRONG_SORT[values, kind]))
             if kind == "union":

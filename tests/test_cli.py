@@ -6,6 +6,7 @@ import pytest
 from coinfer.cli import main
 from coinfer.term_core import (
     equal,
+    subterm_closure,
     type_from_json,
     type_from_source,
     value_from_json,
@@ -74,27 +75,33 @@ def test_subtype_trace_prints_derivation(tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_subtype_trace_canonicalizes_each_input_once(tmp_path, capsys, monkeypatch, fmt):
-    # each input's closure goes through the canonicalizing walk once; a
-    # class interned already is looked up there and needs no partition
+    # each input's closure goes through the canonicalizing walk once, and
+    # a partition sees no more positions than the inputs have nodes; run
+    # again, every class is interned already and none is partitioned
     import coinfer.term_core as term_core
 
-    calls = {"_canonical_nodes": 0, "_partition": 0}
+    walks, partitioned = [], []
+    canonical_nodes, partition = term_core._canonical_nodes, term_core._partition
 
-    def counting(name):
-        real = getattr(term_core, name)
+    def walk(roots):
+        walks.append(roots)
+        return canonical_nodes(roots)
 
-        def count(*args):
-            calls[name] += 1
-            return real(*args)
-        monkeypatch.setattr(term_core, name, count)
+    def part(kids, shapes):
+        partitioned.append(len(kids))
+        return partition(kids, shapes)
 
-    counting("_canonical_nodes")
-    counting("_partition")
+    monkeypatch.setattr(term_core, "_canonical_nodes", walk)
+    monkeypatch.setattr(term_core, "_partition", part)
     odd = put(tmp_path, "odd.ty", ODD)
     nat = put(tmp_path, "nat.ty", NAT)
-    assert main(["subtype", odd, nat, "--trace", "--format", fmt]) == 0
-    assert ("derivation" if fmt == "json" else "<=") in capsys.readouterr().out
-    assert calls["_canonical_nodes"] == 2 and calls["_partition"] <= 2
+    size = sum(len(subterm_closure(type_from_source(src))) for src in (ODD, NAT))
+    for run in range(2):
+        del walks[:], partitioned[:]
+        assert main(["subtype", odd, nat, "--trace", "--format", fmt]) == 0
+        assert ("derivation" if fmt == "json" else "<=") in capsys.readouterr().out
+        assert len(walks) == 2
+        assert sum(partitioned) <= (size if run == 0 else 0)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -101,6 +101,36 @@ def test_canonicalize_cycle_entered_anywhere():
     assert expect is c
 
 
+def test_new_cycle_over_a_canonical_ring_partitions_only_itself(monkeypatch):
+    # a one-node cycle over a canonical 2·10**4-node ring is closed on its
+    # own: the ring is an exit, so neither walked again nor partitioned
+    import coinfer.term_core as term_core
+
+    n = 20_000
+    nodes = [ObjType("ringmark" if i == 0 else "ring") for i in range(n)]
+    for i, node in enumerate(nodes):
+        node.fields = {"f": nodes[(i + 1) % n]}
+    ring = canonicalize(nodes[0])
+    sizes = []
+    real = term_core._partition
+
+    def counting(kids, shapes):
+        sizes.append(len(kids))
+        return real(kids, shapes)
+
+    monkeypatch.setattr(term_core, "_partition", counting)
+    best = float("inf")
+    for k in range(3):
+        x = ObjType("over%d" % k)
+        x.fields = {"f": x, "g": ring}
+        start = time.perf_counter()
+        c = canonicalize(x)
+        best = min(best, time.perf_counter() - start)
+        assert c.fields["f"] is c and c.fields["g"] is ring
+    assert sizes == [1, 1, 1]
+    assert best < 0.01, "a new cycle over a canonical ring took %.4fs" % best
+
+
 def _assert_inhabited_matches(t):
     # not_empty reads inhabited, so the independent oracle is the reference
     assert set(inhabited(t)) == inhabited_oracle(t)

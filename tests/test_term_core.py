@@ -25,7 +25,6 @@ from coinfer.term_core import (
     print_type,
     print_value,
     resolve,
-    resolve_value,
     scan,
     subterm_closure,
     term_to_json,
@@ -415,7 +414,7 @@ def test_acyclic_closure_never_partitions(monkeypatch):
     canonicalize(value_from_source("V = obj(a, [f -> 1, g -> obj(b, [h -> 1])]); root V"))
     assert calls == []
     canonicalize(type_from_source("T = obj(once, [f: T, g: int]); root T"))
-    assert calls == [2]
+    assert calls == [1]  # the one-node component, its exit int fixed
 
 
 def test_intern_table_grows_by_new_components():
@@ -834,9 +833,11 @@ def test_cyclic_copies_get_one_node_cold_or_warm(seed, monkeypatch):
 
 
 def test_lookup_gives_up_after_a_bounded_walk(monkeypatch):
-    # cycles of unions alone share one summary down to its rounds: a
-    # lookup refutes a bounded number of them, then partitions, and still
-    # gets the node interned for its class
+    # a union's distance to its nearest non-union node is in its summary:
+    # towers of more unions than the summary's rounds above an object no
+    # longer share it with union-only cycles, so after 40 towers the empty
+    # type is the one candidate of a fresh union-only cycle, confirmed
+    # with no partition
     import coinfer.term_core as term_core
 
     _fresh_table(monkeypatch)
@@ -846,18 +847,71 @@ def test_lookup_gives_up_after_a_bounded_walk(monkeypatch):
         src = "T = %s; root T" % ("(T \\/ " * (rounds + 1) + "obj(tower%d, [])" % k
                                   + ")" * (rounds + 1))
         canonicalize(type_from_source(src))
-    assert len(term_core._by_summary[_summary(empty)]) > 40
+    assert term_core._by_summary[_summary(empty)] == [empty]
     calls = _count_partitions(monkeypatch)
     assert canonicalize(type_from_source("X = Y \\/ X; Y = X \\/ X; root X")) is empty
+    assert calls == []
+
+
+def test_mauborgne_cycle_after_a_lookup_gives_up(monkeypatch):
+    # with no signing round, 50 same-shape cycles filed after Y* are each
+    # refuted in turn until the lookup gives up; the exact fallback
+    # partitions X with Y*'s component, so X = obj(a, [f: X, g: Y*]) is Y*
+    import coinfer.term_core as term_core
+
+    _fresh_table(monkeypatch)
+    monkeypatch.setattr(term_core, "_SUMMARY_ROUNDS", 0)
+    y = canonicalize(type_from_source("Y = obj(a, [f: Y, g: Y]); root Y"))
+    for k in range(50):
+        canonicalize(type_from_source("Z = obj(a, [f: Z, g: obj(mark%d, [])]); root Z" % k))
+    assert len(term_core._by_summary[_summary(y)]) == 51
+    calls = _count_partitions(monkeypatch)
+    x = ObjType("a")
+    x.fields = {"f": x, "g": y}
+    assert canonicalize(x) is y
+    assert calls == [2]  # X and Y*, after the bounded walk gave up
+    x = type_from_source("X = obj(a, [f: X, g: Y]); Y = obj(a, [f: Y, g: Y]); root X")
+    assert canonicalize(x) is y
+
+
+def test_mauborgne_cycle_behind_a_fresh_acyclic_node(monkeypatch):
+    # Q = obj(a, [f: Y*, g: Y*]) hash-conses to Y*, so X, which reaches Y*
+    # only through Q, is Y* too, found with no partition
+    y = canonicalize(type_from_source("Y = obj(behind, [f: Y, g: Y]); root Y"))
+    calls = _count_partitions(monkeypatch)
+    q = ObjType("behind", {"f": y, "g": y})
+    x = ObjType("behind")
+    x.fields = {"f": x, "g": q}
+    assert canonicalize(q) is y
+    assert canonicalize(ObjType("behind", {"f": y, "g": y})) is y
+    assert canonicalize(x) is y
+    assert calls == []
+
+
+def test_canonical_images_find_a_component_made_earlier_in_the_call(monkeypatch):
+    # the second root's component is bisimilar to the first's, made in the
+    # same call: it is found by summary, and only the first is partitioned
+    _fresh_table(monkeypatch)
+    calls = _count_partitions(monkeypatch)
+    first = type_from_source(EVEN_ODD % "E")
+    second = type_from_source("A = obj(zero, []) \\/ obj(succ, [pred: B]); "
+                              "B = obj(succ, [pred: obj(zero, []) \\/ obj(succ, [pred: B])]); root A")
+    images = canonical_images([first, second])
+    assert images[second.uid] is images[first.uid] is canonicalize(type_from_source(EVEN_ODD % "E"))
     assert len(calls) == 1
+    # Mauborgne's case within one walk: Y closes first, and X is found as Y
+    x = type_from_source("X = obj(one, [f: X, g: Y]); Y = obj(one, [f: Y, g: Y]); root X")
+    y = x.fields["g"]
+    del calls[:]
+    images = canonical_images([x])
+    assert images[x.uid] is images[y.uid] and len(calls) == 1
 
 
 def _summary(t):
+    # a node, not a position, as the start: the summary is read from t's graph
     import coinfer.term_core as term_core
 
-    index, shapes, kids, _, _ = term_core._number([t], leaves=False)
-    kids = [[index[c.uid] for c in ks] for ks in kids]
-    return term_core._summaries(shapes, kids)[index[t.uid]]
+    return term_core._summary(t, (), (), (), ())
 
 
 def test_equal_summaries_of_distinct_classes_give_distinct_nodes():
@@ -923,7 +977,9 @@ def test_canonical_images_agree_with_the_partition_path(monkeypatch):
     for k in range(30):
         roots = [random_type(rng, rng.randint(2, 8)) for _ in range(3)]
         roots.append(rng.choice(subterm_closure(roots[0])))
-        monkeypatch.setattr(term_core, "_lookup", lambda *args: False)
+        # every lookup gives up at once: each cyclic component takes the
+        # exact fallback partition, with the cycles through its exits
+        monkeypatch.setattr(term_core, "_lookup", lambda *args: None)
         partitioned = canonical_images(roots)
         monkeypatch.setattr(term_core, "_lookup", real)
         del calls[:]
