@@ -306,7 +306,8 @@ def _unify_rows(a, b, todo, trail):
                      (None, (tail_a, Record(sorted(only_b.items()), rest))))
         elif tail_a is not tail_b:
             todo.append((None, (tail_a, tail_b)))
-    todo += reversed([(pairs_a[k], pairs_b[k]) for k in pairs_a.keys() & pairs_b.keys()])
+    shared = sorted(pairs_a.keys() & pairs_b.keys())  # key order, not a set's hash order
+    todo += reversed([(pairs_a[k], pairs_b[k]) for k in shared])
     return True
 
 

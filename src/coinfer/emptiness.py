@@ -17,7 +17,7 @@ one on a tie; a node's rank is its distance along union edges to an
 inhabited non-union, so a witness never enters a union-only cycle.
 """
 
-from coinfer.term_core import IntType, IntValue, ObjType, ObjValue, UnionType, _scc_order
+from coinfer.term_core import IntType, IntValue, ObjType, ObjValue, UnionType, _components
 
 
 def _inhabited(t):
@@ -52,7 +52,8 @@ def _inhabited(t):
     union_kids = {u: [c.uid for c in (n.left, n.right) if type(c) is UnionType]
                   for u, n in nodes.items() if type(n) is UnionType}
     rep = {u: -1 - k  # union uid -> the key of its component; keys are negative
-           for k, scc in enumerate(_scc_order(list(union_kids), union_kids)) for u in scc}
+           for k, scc in enumerate(_components(union_kids, union_kids.__getitem__))
+           for u in scc}
     need = {}     # key -> deaths that kill it: 1 for an object, the exits of a component
     waiting = {}  # key -> the keys told when it dies, once per edge
     for n in nodes.values():

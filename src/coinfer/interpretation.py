@@ -32,7 +32,7 @@ from coinfer.term_core import (
     ObjType,
     ObjValue,
     UnionType,
-    _scc_order,
+    _components,
     canonicalize,
     subterm_closure,
     union_alternatives,
@@ -181,7 +181,7 @@ def _find_obj_cycle(t, kids):
     nodes; returns the forced route t -> ... -> O -> ... -> O, or None.
     O is the least-uid such node of t's viable closure, found with one
     SCC pass."""
-    on_cycle = [n for scc in _scc_order(list(kids), kids)
+    on_cycle = [n for scc in _components(kids, kids.__getitem__)
                 if len(scc) > 1 or scc[0] in kids[scc[0]]
                 for n in scc if isinstance(n, ObjType)]
     if not on_cycle:

@@ -15,20 +15,23 @@ expansions.  Rule options per judgment:
 Left sides generated by distribution live in a finite space (same class,
 field types drawn from the original left closure), so the set of
 reachable judgments is finite; the engine asserts this on every new
-judgment, which is the termination argument.
+judgment, which is the termination argument.  Such a left side is
+hash-consed: its class and field nodes are canonical, so it is the node
+interned under them (Filliatre & Conchon 2006), shared by every engine.
 
 One engine answers both subtype and derive; subtype runs it only when
 the roots' union alternatives do not settle the pair.  It walks the
-judgment graph depth first, expanding a judgment's rule options when it
-enters the judgment, and finds strongly connected components on the fly
-(Tarjan).  It settles each component as soon as the walk closes it:
-the component's verdict set is the largest one where every held
-judgment has a rule option whose premises all hold, and where following
-only non-guarding options (the right-union expansions) cannot loop
-forever.  Each judgment is entered once, so verdicts cost linear memo
-space.  A judgment stops expanding options once one option's premises
-all hold in settled components, and drops an option as soon as one of
-its premises is settled false.
+judgment graph with term_core's strongly connected component generator
+(Tarjan), which emptiness and the sampler use too, and settles each
+component as soon as the walk closes it: the component's verdict set is
+the largest one where every held judgment has a rule option whose
+premises all hold, and where following only non-guarding options (the
+right-union expansions) cannot loop forever.  Each judgment is entered
+once, so verdicts cost linear memo space.  A judgment's premises are
+read lazily, each after the components closed below the one before are
+settled: an option is dropped as soon as one of its premises is settled
+false, and a judgment stops trying options once one option's premises
+all hold.
 
 For each held judgment the engine keeps the option that justified it in
 the final round of its component.  derive reads the derivation off those
@@ -46,6 +49,8 @@ from coinfer.term_core import (
     IntType,
     ObjType,
     UnionType,
+    _components,
+    _intern,
     canonicalize,
     print_type,
     subterm_closure,
@@ -130,10 +135,6 @@ class Derivation:
         return "\n".join(lines)
 
 
-def _variant_key(cls, fields):
-    return (cls, tuple((f, t.uid) for f, t in sorted(fields.items())))
-
-
 class _Engine:
     """The judgments reachable from one pair, walked once.  A judgment is
     a (left node, right node) pair of the canonical roots' closures, or
@@ -146,35 +147,30 @@ class _Engine:
         right_root = canonicalize(t2)
         self.root = (left_root, right_root)
         self.limit = limit
-        left = subterm_closure(left_root)
-        self.left_space = {n.uid for n in left}
+        self.left_space = {n.uid for n in subterm_closure(left_root)}
         self.right_space = {n.uid for n in subterm_closure(right_root)}
-        self.variants = {}
-        for n in left:
-            if isinstance(n, ObjType):
-                self.variants[_variant_key(n.class_name, n.fields)] = n
         self.live = inhabited(left_root)
         self.splits = {}  # left object uid -> its two distribution variants, or None
+        self.kept = {}  # entered judgment -> the options kept for settling
         self.verdict = {}
         self.chosen = {}
-        self._walk()
+        for comp in _components([self.root], self._premises):
+            self._settle(comp)
 
     def holds(self):
         return self.verdict[self.root]
 
     def _variant(self, l, fname, branch):
-        fields = dict(l.fields)
-        fields[fname] = branch
-        key = _variant_key(l.class_name, fields)
-        node = self.variants.get(key)
-        if node is None:
-            assert all(t.uid in self.left_space for t in fields.values()), \
-                "distribution left the original subterm space"
-            node = ObjType(l.class_name, fields)
-            self.variants[key] = node
-            self.left_space.add(node.uid)
-            if all(t.uid in self.live for t in fields.values()):
-                self.live[node.uid] = node
+        """l with field fname set to branch: the canonical node of its
+        local key, found or made by _intern, as l and branch are canonical
+        and every canonical node is interned under its local key."""
+        kids = [branch if f == fname else t for f, t in l.fields.items()]
+        assert all(t.uid in self.left_space for t in kids), \
+            "distribution left the original subterm space"
+        node = _intern(("obj", l.class_name, tuple(l.fields)), kids)
+        self.left_space.add(node.uid)
+        if all(t.uid in self.live for t in kids):
+            self.live[node.uid] = node
         return node
 
     def _split(self, l):
@@ -213,83 +209,42 @@ class _Engine:
             opts.append((R_OR_R2, [(l, r.right)]))
         return opts
 
-    def _enter(self, j, index, pending):
-        """A walk frame for a new judgment: [judgment, its options, next
-        option, next premise, lowest entry index it reaches, options
-        kept for settling]."""
+    def _premises(self, j):
+        """The premises of j's options that the walk must enter, in order,
+        each read once the components closed below the one before are
+        settled.  An option is dropped at a premise settled false and kept
+        for settling otherwise; once a kept option's premises all hold, the
+        later options cannot matter.  A premise still open is in j's
+        component."""
         l, r = j
         assert l.uid in self.left_space, "judgment outside left space"
         assert r.uid in self.right_space, "judgment outside right space"
-        at = len(index)
-        if at >= self.limit:
+        if len(self.kept) >= self.limit:
             raise BudgetExceeded(
                 "subtyping search budget of %d judgments" % self.limit)
-        index[j] = at
-        pending.append(j)
-        return [j, self._options(l, r), 0, 0, at, []]
-
-    def _walk(self):
-        """Tarjan's walk over the judgment graph, settling each strongly
-        connected component when it closes.  An entered judgment without
-        a verdict is still open, so it is in the current component."""
         verdict = self.verdict
-        index = {}
-        pending = []
-        kept = {}
-        frames = [self._enter(self.root, index, pending)]
-        while frames:
-            frame = frames[-1]
-            j, options, oi, pi, low, usable = frame
-            child = None
-            while oi < len(options):
-                premises = options[oi][1]
-                while pi < len(premises):
-                    k = premises[pi]
+        usable = self.kept[j] = []
+        for option in self._options(l, r):
+            for k in option[1]:
+                held = verdict.get(k)
+                if held is None:
+                    yield k
                     held = verdict.get(k)
-                    if held is None:
-                        at = index.get(k)
-                        if at is None:
-                            child = k
-                            break
-                        if at < low:
-                            low = at
-                    elif not held:
-                        break  # this option can never hold
-                    pi += 1
-                if child is not None:
-                    break
-                if pi == len(premises):
-                    usable.append(options[oi])
-                    if all(verdict.get(k) for k in premises):
-                        break  # holds for good: later options cannot matter
-                oi += 1
-                pi = 0
-            if child is not None:
-                frame[2], frame[3], frame[4] = oi, pi, low
-                frames.append(self._enter(child, index, pending))
-                continue
-            frames.pop()
-            kept[j] = usable
-            if low < index[j]:
-                if low < frames[-1][4]:
-                    frames[-1][4] = low
-                continue
-            comp = []
-            while True:
-                k = pending.pop()
-                comp.append(k)
-                if k is j:
-                    break
-            self._settle(comp, kept)
+                if held is False:
+                    break  # this option can never hold
+            else:
+                usable.append(option)
+                if all(verdict.get(k) for k in option[1]):
+                    return  # holds for good
 
-    def _settle(self, comp, kept):
+    def _settle(self, comp):
         """Verdicts for one component: start from everything holding,
         repeatedly keep only the judgments justified by some option --
         premises outside the component by their settled verdict, guarded
         premises inside it by the current approximation, unguarded ones
         only once justified themselves this round, so a cycle of nothing
         but right-union expansions can never support itself."""
-        verdict = self.verdict
+        verdict, kept = self.verdict, self.kept
         members = frozenset(comp)
         live = members
         while True:

@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import coinfer
 from coinfer.cli import main
 from coinfer.term_core import (
     equal,
@@ -165,6 +168,39 @@ def test_empty_inhabited_with_witness(tmp_path, capsys):
     assert member(wit, type_from_source(NAT))
 
 
+def test_empty_json_verdicts(tmp_path, capsys):
+    bot = put(tmp_path, "bot.ty", BOT)
+    nat = put(tmp_path, "nat.ty", NAT)
+    for args, code, data in [([nat], 0, {"empty": False}), ([bot], 1, {"empty": True}),
+                             ([bot, "--witness"], 1, {"empty": True})]:
+        assert main(["empty", *args, "--format", "json"]) == code
+        assert json.loads(capsys.readouterr().out) == data
+
+
+def test_empty_json_witness_is_a_member(tmp_path, capsys):
+    nat = put(tmp_path, "nat.ty", NAT)
+    assert main(["empty", nat, "--witness", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["empty"] is False
+    wit = put(tmp_path, "wit.json", json.dumps(data["witness"]))
+    assert main(["member", wit, nat, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"member": True}
+    seven = put(tmp_path, "seven.val", "V = 7; root V;")
+    assert main(["member", seven, nat, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"member": False}
+
+
+def test_parse_canonical_minimizes(tmp_path, capsys):
+    # two bisimilar unions, each the other's predecessor, are one node
+    nat2 = put(tmp_path, "nat2.ty", "A = obj(zero, []) \\/ obj(succ, [pred: B]);"
+                                    " B = obj(zero, []) \\/ obj(succ, [pred: A]); root A;")
+    assert main(["parse", nat2, "--canonical"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "T0 = obj(zero, []) \\/ obj(succ, [pred: T0]);", "root T0"]
+    assert main(["parse", nat2, "--canonical", "--format", "json"]) == 0
+    assert equal(type_from_json(capsys.readouterr().out), type_from_source(NAT))
+
+
 def test_parse_text_round_trip(tmp_path, capsys):
     nat = put(tmp_path, "nat.ty", NAT)
     assert main(["parse", nat]) == 0
@@ -194,6 +230,18 @@ def test_parse_value_file(tmp_path, capsys):
     assert main(["parse", vf, "--value"]) == 0
     printed = capsys.readouterr().out
     assert member(value_from_source(printed), type_from_source(NAT))
+
+
+def test_json_value_file_accepted_as_input(tmp_path, capsys):
+    vf = put(tmp_path, "two.val", "V = obj(succ, [pred -> obj(succ, [pred -> obj(zero, [])])]);"
+                                  " root V;")
+    assert main(["parse", vf, "--value", "--format", "json"]) == 0
+    jf = put(tmp_path, "two.json", capsys.readouterr().out)
+    assert main(["parse", jf, "--value"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "T0 = obj(succ, [pred -> obj(succ, [pred -> obj(zero, [])])]);", "root T0"]
+    assert main(["member", jf, put(tmp_path, "nat.ty", NAT)]) == 0
+    assert capsys.readouterr().out == "member\n"
 
 
 def test_parse_error_is_usage_error(tmp_path, capsys):
@@ -414,6 +462,19 @@ def test_solve_multi_field_record_access(tmp_path, capsys, query, answer):
     prog = put(tmp_path, "pair.prog", PAIR)
     assert main(["solve", prog, "--query", query]) == 0
     assert capsys.readouterr().out.splitlines() == [answer]
+
+
+@pytest.mark.parametrize("seed", ["0", "3"])
+def test_record_answers_do_not_depend_on_string_hashing(tmp_path, seed):
+    # the fields two records share are unified in key order, not in the
+    # order of a set of strings, which the hash seed sets
+    prog = put(tmp_path, "pair.prog", PAIR)
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.path.dirname(os.path.dirname(coinfer.__file__)))
+    query = "new(pair, [A, B], obj(pair, [fst: X, snd: X]))"
+    out = subprocess.run([sys.executable, "-m", "coinfer.cli", "solve", prog, "--query", query],
+                         env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout.splitlines()) == (0, ["A = B", "B = B", "X = B"])
 
 
 def test_solve_open_record_access(tmp_path, capsys):

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from coinfer.cosld_engine import format_answer, parse_query, solve
 from coinfer.horn_compiler import (
     ProgramError,
     compile_program,
@@ -190,6 +191,16 @@ class B extends A { g; B(y) { this.g = y; } }
 """)
     assert "new(a,[X],obj(a,[f:X|R])) :- extends(a,P),new(P,[],obj(P,R))." in lines
     assert "new(b,[Y],obj(b,[g:Y|R])) :- extends(b,P),new(P,[],obj(P,R))." in lines
+
+
+def test_constructor_renames_fresh_names_its_params_took():
+    # the parameters take R and P, so the row and parent variables are renamed
+    program = "class Box { v; w; Box(r, p) { this.v = r; this.w = p; } }"
+    assert ("new(box,[R,P],obj(box,[v:R,w:P|R0])) :- extends(box,P0),new(P0,[],obj(P0,R0))."
+            in compile_to_lines(program))
+    clauses = compile_program(parse_program(program))
+    result = solve(parse_query("new(box, [int, obj(a,[])], X)"), clauses)
+    assert [format_answer(a) for a in result.answers] == ["X = obj(box,[v:int,w:obj(a,[])])"]
 
 
 def test_default_constructor_emitted():

@@ -226,6 +226,23 @@ def test_budget_is_an_error_not_false():
         subtype(types["nat"], types["evn"], memo_limit=3)
 
 
+def test_budget_admits_exactly_the_judgments_entered():
+    # memo_limit=n passes for the n judgments the walk enters and n-1
+    # raises; the total pins how many the walk enters on these pairs
+    rng = seeded(4646)
+    entered = held = 0
+    for k in range(60):
+        t1 = random_connected_type(rng, rng.randint(4, 10))
+        t2 = inflate(t1, rng) if k % 2 else random_connected_type(rng, rng.randint(4, 10))
+        n = len(_Engine(t1, t2, 10**6).verdict)
+        verdict = _Engine(t1, t2, n).holds()
+        with pytest.raises(BudgetExceeded):
+            _Engine(t1, t2, n - 1)
+        entered += n
+        held += verdict
+    assert (entered, held) == (1167, 31)
+
+
 # --- derivation traces ---------------------------------------------------------
 
 def test_trace_union_of_ints():

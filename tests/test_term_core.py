@@ -433,8 +433,7 @@ def test_intern_table_grows_by_new_components():
         c = canonicalize(t)
         kids = {n.uid: [m.uid for m in term_core._children(n)]
                 for n in subterm_closure(c) if n.uid > first}
-        new = term_core._scc_order(list(kids), {u: [m for m in ks if m in kids]
-                                                for u, ks in kids.items()})
+        new = list(term_core._components(kids, lambda u: [m for m in kids[u] if m in kids]))
         cyclic = sum(len(scc) for scc in new if len(scc) > 1 or scc[0] in kids[scc[0]])
         assert len(term_core._canonical_uids) - uids == len(kids)
         assert len(term_core._canonical) - keys == len(new) + cyclic
@@ -986,6 +985,24 @@ def test_canonical_images_agree_with_the_partition_path(monkeypatch):
         looked_up = canonical_images([inflate(r, rng) for r in roots] + roots)
         assert {u: looked_up[u] for u in partitioned} == partitioned
         assert calls == []
+
+
+def test_start_block_of_a_ring_is_chosen_by_refined_colours(monkeypatch):
+    # a ring of five obj(a, ...) then five obj(b, ...): each first colour
+    # holds five blocks, more than _START_CANDIDATES, so _scc_key refines
+    # them; every rotation, partitioned on its own, must pick the same start
+    import coinfer.term_core as term_core
+
+    _fresh_table(monkeypatch)
+    monkeypatch.setattr(term_core, "_lookup", lambda *args: None)
+    calls = _count_partitions(monkeypatch)
+    eqs = "".join("N%d = obj(%s, [f: N%d]); " % (i, "ab"[i // 5], (i + 1) % 10)
+                  for i in range(10))
+    ring = [canonicalize(type_from_source(eqs + "root N%d;" % k)) for k in range(10)]
+    assert calls == [10] * 10
+    assert len({n.uid for n in ring}) == 10
+    assert [n.fields["f"] for n in ring] == ring[1:] + ring[:1]
+    assert [n.class_name for n in ring] == ["a"] * 5 + ["b"] * 5
 
 
 def test_threads_get_one_node_per_class():
