@@ -111,72 +111,43 @@ def _undo(trail, mark):
         trail.pop().ref = None
 
 
-def _norm_seq(t):
-    """Flatten a list spine to (items, tail) where tail is None or an
-    unbound variable.  Empty closed records count as nil."""
-    items = []
-    seen = set()
+def _row(t):
+    """The row a list or record spine spells: (items, {name: value},
+    [(unbound key variable, value)], tail None or an unbound variable),
+    a key variable bound to a name counting as that name.  A row with no
+    fields reads as a list, one with no items as a record.  _FAIL when t
+    is no list or record, or its spine is cyclic, ends in another term,
+    repeats a key, has a key that is no name, or has items and fields."""
     t = deref(t)
+    kind = type(t)
+    if kind is not ListTerm and kind is not Record:
+        return _FAIL
+    items, pairs, varkeys, seen = [], {}, [], set()
     while True:
-        if isinstance(t, ListTerm):
-            if id(t) in seen:
-                return _FAIL
-            seen.add(id(t))
-            items.extend(t.items)
-            if t.tail is None:
-                return items, None
-            t = deref(t.tail)
-        elif isinstance(t, Record) and not t.pairs:
-            if t.tail is None:
-                return items, None
-            if id(t) in seen:
-                return _FAIL
-            seen.add(id(t))
-            t = deref(t.tail)
-        elif isinstance(t, Var):
-            return items, t
+        if kind is ListTerm:
+            items += t.items
         else:
-            return _FAIL
-
-
-def _norm_rec(t):
-    """Flatten a record spine to (pairs, varkey pairs, tail).  Pairs with a
-    key variable already bound to a name are folded into the plain pairs."""
-    pairs = {}
-    varkeys = []
-    seen = set()
-    t = deref(t)
-    while True:
-        if isinstance(t, Record):
-            if id(t) in seen:
-                return _FAIL
-            seen.add(id(t))
             for k, v in t.pairs:
-                key = deref(k) if isinstance(k, Var) else k
-                if isinstance(key, Const):
-                    key = key.name
-                if isinstance(key, str):
-                    if key in pairs:
-                        return _FAIL
-                    pairs[key] = v
-                elif isinstance(key, Var):
-                    varkeys.append((key, v))
-                else:
+                if type(k) is Var:
+                    k = deref(k)
+                if type(k) is Const:
+                    k = k.name
+                if type(k) is Var:
+                    varkeys.append((k, v))
+                elif type(k) is not str or k in pairs:
                     return _FAIL
-            if t.tail is None:
-                return pairs, varkeys, None
-            t = deref(t.tail)
-        elif isinstance(t, ListTerm) and not t.items:
-            if t.tail is None:
-                return pairs, varkeys, None
-            if id(t) in seen:
-                return _FAIL
-            seen.add(id(t))
-            t = deref(t.tail)
-        elif isinstance(t, Var):
-            return pairs, varkeys, t
-        else:
+                else:
+                    pairs[k] = v
+        seen.add(id(t))
+        t = deref(t.tail)
+        kind = type(t)
+        if t is None or kind is Var:
+            break
+        if kind is not ListTerm and kind is not Record or id(t) in seen:
             return _FAIL
+    if items and (pairs or varkeys):
+        return _FAIL
+    return items, pairs, varkeys, t
 
 
 def _nil():
@@ -245,31 +216,31 @@ def _unify_rows(a, b, todo, trail):
             return False
         todo += reversed(list(zip(a.items, b.items)))
         return True
-    if type(a) is ListTerm or type(b) is ListTerm:
-        na, nb = _norm_seq(a), _norm_seq(b)
-        if na is not _FAIL and nb is not _FAIL:
-            (items_a, tail_a), (items_b, tail_b) = na, nb
-            n = min(len(items_a), len(items_b))
-            if len(items_a) > n:
-                if tail_b is None:
-                    return False
-                todo.append((None, (tail_b, ListTerm(items_a[n:], tail_a))))
-            elif len(items_b) > n:
-                if tail_a is None:
-                    return False
-                todo.append((None, (tail_a, ListTerm(items_b[n:], tail_b))))
-            elif tail_a is None and tail_b is not None:
-                todo.append((None, (tail_b, _nil())))
-            elif tail_b is None and tail_a is not None:
-                todo.append((None, (tail_a, _nil())))
-            elif tail_a is not tail_b:
-                todo.append((None, (tail_a, tail_b)))
-            todo += reversed(list(zip(items_a, items_b)))
-            return True
-    ra, rb = _norm_rec(a), _norm_rec(b)
+    ra, rb = _row(a), _row(b)
     if ra is _FAIL or rb is _FAIL:
         return False
-    (pairs_a, var_a, tail_a), (pairs_b, var_b, tail_b) = ra, rb
+    (items_a, pairs_a, var_a, tail_a), (items_b, pairs_b, var_b, tail_b) = ra, rb
+    if ((type(a) is ListTerm or type(b) is ListTerm)
+            and not (pairs_a or var_a or pairs_b or var_b)):
+        n = min(len(items_a), len(items_b))
+        if len(items_a) > n:
+            if tail_b is None:
+                return False
+            todo.append((None, (tail_b, ListTerm(items_a[n:], tail_a))))
+        elif len(items_b) > n:
+            if tail_a is None:
+                return False
+            todo.append((None, (tail_a, ListTerm(items_b[n:], tail_b))))
+        elif tail_a is None and tail_b is not None:
+            todo.append((None, (tail_b, _nil())))
+        elif tail_b is None and tail_a is not None:
+            todo.append((None, (tail_a, _nil())))
+        elif tail_a is not tail_b:
+            todo.append((None, (tail_a, tail_b)))
+        todo += reversed(list(zip(items_a, items_b)))
+        return True
+    if items_a or items_b:
+        return False
     if var_a or var_b:
         # only the singleton [Key:Value] pattern is supported; it matches
         # records with exactly one field
@@ -319,10 +290,10 @@ def _lookup(pattern, other, trail, seen):
     unification, under which an unbound key matches one-field records;
     _field_goals cuts a wider closed record to each of its fields."""
     (key, val), = pattern.pairs
-    key, rec = deref(key), _norm_rec(other)
-    if (isinstance(key, Const) and rec is not _FAIL and not rec[1]
-            and (rec[2] is None or key.name in rec[0])):
-        return key.name in rec[0] and _unify(val, rec[0][key.name], trail, seen)
+    key, row = deref(key), _row(other)
+    if (type(key) is Const and row is not _FAIL and not row[0] and not row[2]
+            and (row[3] is None or key.name in row[1])):
+        return key.name in row[1] and _unify(val, row[1][key.name], trail, seen)
     return _unify(other, pattern, trail, seen)
 
 
@@ -360,13 +331,14 @@ def copy_term(t, memo=None):
             shell = UnionTerm(s.left, s.right)
         elif kind is ObjTerm:
             shell = ObjTerm(s.cls, s.rec)
-        elif kind is Record:
-            norm = _norm_rec(s)
-            shell = (Record(s.pairs, s.tail) if norm is _FAIL
-                     else Record(sorted(norm[0].items()) + norm[1], norm[2]))
         else:
-            norm = _norm_seq(s)
-            shell = ListTerm(s.items, s.tail) if norm is _FAIL else ListTerm(*norm)
+            row = _row(s)
+            if kind is Record:
+                shell = (Record(s.pairs, s.tail) if row is _FAIL or row[0]
+                         else Record(sorted(row[1].items()) + row[2], row[3]))
+            else:
+                shell = (ListTerm(s.items, s.tail) if row is _FAIL or row[1] or row[2]
+                         else ListTerm(row[0], row[3]))
         memo[id(s)] = shell
         made.append(shell)
         todo += _kids(shell)
@@ -426,19 +398,17 @@ def logic_equal(a, b):
         elif kind is ObjTerm and type(b) is ObjTerm:
             todo += ((a.rec, b.rec), (a.cls, b.cls))
         elif kind in _SEQ and type(b) in _SEQ:
-            na, nb = _norm_seq(a), _norm_seq(b)
-            if na is not _FAIL and nb is not _FAIL:
-                (ia, ta), (ib, tb) = na, nb
+            ra, rb = _row(a), _row(b)
+            if ra is _FAIL or rb is _FAIL:
+                return False
+            (ia, pa, va, ta), (ib, pb, vb, tb) = ra, rb
+            if not (pa or va or pb or vb):
                 if len(ia) != len(ib):
                     return False
                 kids = list(zip(ia, ib))
+            elif ia or ib or set(pa) != set(pb) or len(va) != len(vb) or len(va) > 1:
+                return False
             else:
-                ra, rb = _norm_rec(a), _norm_rec(b)
-                if ra is _FAIL or rb is _FAIL:
-                    return False
-                (pa, va, ta), (pb, vb, tb) = ra, rb
-                if set(pa) != set(pb) or len(va) != len(vb) or len(va) > 1:
-                    return False
                 kids = [(va[0][0], vb[0][0]), (va[0][1], vb[0][1])] if va else []
                 kids += [(pa[k], pb[k]) for k in pa]
             if (ta is None) != (tb is None):
@@ -489,10 +459,10 @@ def _to_type(t, stamped):
             node = UnionType(s.left, s.right)
             todo += (s.right, s.left)
         else:
-            cls, norm = deref(s.cls), _norm_rec(s.rec)
-            if type(cls) is not Const or norm is _FAIL or norm[1] or norm[2] is not None:
+            cls, row = deref(s.cls), _row(s.rec)
+            if type(cls) is not Const or row is _FAIL or row[0] or row[2] or row[3] is not None:
                 return None
-            node = ObjType(cls.name, norm[0])
+            node = ObjType(cls.name, row[1])
             todo += reversed(node.fields.values())
         memo[id(s)] = node
         made.append(node)
@@ -704,12 +674,12 @@ def _field_goals(goal, i):
     so a K that nothing binds takes each field in turn; a K bound to a name
     matches its own field alone, as its lookup in the whole record would.
     Otherwise the goal itself."""
-    norm = _norm_rec(goal.args[i])
-    if norm is _FAIL or norm[1] or norm[2] is not None or len(norm[0]) < 2:
+    row = _row(goal.args[i])
+    if row is _FAIL or row[2] or row[3] is not None or len(row[1]) < 2:
         return (goal,)
     args = goal.args
     return [Atom(goal.pred, args[:i] + [Record([pair])] + args[i + 1:])
-            for pair in sorted(norm[0].items())]
+            for pair in sorted(row[1].items())]
 
 
 def _match_head(goal, head, trail):
@@ -811,11 +781,16 @@ class _Engine:
                 for i, h in enumerate(args):
                     if type(h) is Record and _is_lookup(h):
                         self.lookups[c] = i
-        preds = {p for p, _ in self.index}
-        for pred in config.variance:
-            if pred not in preds:
-                raise EngineError(
-                    "variance entry for undeclared predicate %r" % pred)
+        for pred, table in config.variance.items():
+            arities = sorted(n for p, n in self.index if p == pred)
+            if not arities:
+                raise EngineError("variance entry for undeclared predicate %r" % pred)
+            for v in table:
+                if v not in ("inv", "co", "contra"):
+                    raise EngineError("unknown variance %r" % (v,))
+            if len(table) not in arities:
+                raise EngineError("variance entry for %r has %d positions, not %s" % (
+                    pred, len(table), " or ".join(map(str, arities))))
         self.fact_preds = self.index.keys() - rules
         self.fact_goals = {}  # clause -> the positions of its body goals on fact_preds
         self.verdicts = {}  # (canonical small, canonical large) -> subtype verdict
@@ -850,11 +825,11 @@ class _Engine:
         while todo:
             small, large = todo.pop()
             s, l = deref(small), deref(large)
-            ns, nl = _norm_seq(s), _norm_seq(l)
-            if (ns is not _FAIL and nl is not _FAIL
-                    and ns[1] is None and nl[1] is None
-                    and len(ns[0]) == len(nl[0])):
-                todo += reversed(list(zip(ns[0], nl[0])))
+            rs, rl = _row(s), _row(l)
+            if (rs is not _FAIL and rl is not _FAIL
+                    and not (rs[1] or rs[2] or rl[1] or rl[2])
+                    and rs[3] is None and rl[3] is None and len(rs[0]) == len(rl[0])):
+                todo += reversed(list(zip(rs[0], rl[0])))
                 continue
             st, lt = _to_type(s, True), _to_type(l, True)
             if st is not None and lt is not None:
@@ -878,11 +853,8 @@ class _Engine:
             elif v == "contra":
                 if not self._sub_position(cur_arg, anc_arg, obligations):
                     return False, None
-            elif v == "co":
-                if not self._sub_position(anc_arg, cur_arg, obligations):
-                    return False, None
-            else:
-                raise EngineError("unknown variance %r" % (v,))
+            elif not self._sub_position(anc_arg, cur_arg, obligations):  # "co"
+                return False, None
         return True, obligations
 
     def _ways(self, atom, anc, limit, then):
@@ -1291,10 +1263,10 @@ def _stamp_ground(built):
             left, right = stamp(t.left), stamp(t.right)
             node = left and right and UnionType(left, right)
         else:
-            norm = _norm_rec(t.rec)
-            if type(t.cls) is not Const or norm is _FAIL or norm[1] or norm[2] is not None:
+            row = _row(t.rec)
+            if type(t.cls) is not Const or row is _FAIL or row[0] or row[2] or row[3] is not None:
                 continue
-            fields = {k: stamp(v) for k, v in norm[0].items()}
+            fields = {k: stamp(v) for k, v in row[1].items()}
             node = None not in fields.values() and ObjType(t.cls.name, fields)
         if node:
             t.stamp = canonicalize(node)

@@ -16,9 +16,11 @@ both cost time linear in the pair edges and count the pairs they make.
 
 sample_values draws members of a type: the canonical witness first, one
 deliberately cyclic value when the type admits any, then seeded random
-walks over the inhabited part of the type graph.  A node that reaches
-no choice the walks could make takes its witness at no cost; when the
-root is such a node, sampling stops after the witness.
+walks over the inhabited part of the type graph.  One SCC pass over
+that part finds the nodes that reach no choice the walks could make,
+component by component bottom-up, and the object nodes on cycles.  Such
+a node takes its witness at no cost; when the root is one, sampling
+stops after the witness.
 """
 
 import random
@@ -142,48 +144,40 @@ def _member_fixpoint(v, t, limit=DEFAULT_LIMIT):
 # ---------------------------------------------------------------------------
 # sampling
 
-def _viable_closure(t, live):
-    """node -> viable children (a union's inhabited sides, an object's
-    fields in name order) for the nodes t reaches through viable edges,
-    and the set of those that reach no int and no union with two
-    inhabited sides.  The sampler builds objects with exactly the type's
-    fields, so all it can build for such a node is the node's witness."""
-    kids, parents, choices = {}, {}, []
-    todo = [t]
-    while todo:
-        n = todo.pop()
-        if n in kids:
-            continue
+def _viable_graph(t, live):
+    """The part of t's graph the sampler walks, read in one SCC pass:
+    node -> viable children (a union's inhabited sides, an object's
+    fields in name order) for the nodes t reaches through viable edges;
+    the set of those that reach no int and no union with two inhabited
+    sides, marked bottom-up by component; and the object nodes on a
+    cycle.  The sampler builds objects with exactly the type's fields,
+    so all it can build for a node of the set is the node's witness."""
+    kids = {}
+
+    def viable(n):
         if type(n) is UnionType:
             ks = [c for c in (n.left, n.right) if c.uid in live]
-            if len(ks) == 2:
-                choices.append(n)
         elif type(n) is ObjType:
             ks = [n.fields[f] for f in sorted(n.fields)]
         else:
             ks = []
-            choices.append(n)
         kids[n] = ks
-        for c in ks:
-            parents.setdefault(c, []).append(n)
-        todo.extend(ks)
-    reach = set(choices)
-    while choices:
-        for p in parents.get(choices.pop(), ()):
-            if p not in reach:
-                reach.add(p)
-                choices.append(p)
-    return kids, kids.keys() - reach
+        return ks
+
+    reach, on_cycle = set(), []
+    for scc in _components([t], viable):
+        if any(type(n) is IntType or len(kids[n]) == 2 and type(n) is UnionType
+               or not reach.isdisjoint(kids[n]) for n in scc):
+            reach.update(scc)
+        if len(scc) > 1 or scc[0] in kids[scc[0]]:
+            on_cycle += [n for n in scc if type(n) is ObjType]
+    return kids, kids.keys() - reach, on_cycle
 
 
-def _find_obj_cycle(t, kids):
-    """A reachable object node that can reach itself through inhabited
-    nodes; returns the forced route t -> ... -> O -> ... -> O, or None.
-    O is the least-uid such node of t's viable closure, found with one
-    SCC pass."""
-    on_cycle = [n for scc in _components(kids, kids.__getitem__)
-                if len(scc) > 1 or scc[0] in kids[scc[0]]
-                for n in scc if isinstance(n, ObjType)]
+def _find_obj_cycle(t, kids, on_cycle):
+    """The forced route t -> ... -> O -> ... -> O through viable edges,
+    where O is the least-uid object node on a cycle, or None when no
+    object node is on one."""
     if not on_cycle:
         return None
     goal = min(on_cycle, key=lambda n: n.uid)
@@ -209,7 +203,7 @@ def _find_obj_cycle(t, kids):
     return bfs([t]) + bfs(kids[goal])
 
 
-def _forced_cyclic(t, kids, wit):
+def _forced_cyclic(t, kids, on_cycle, wit):
     """A member of t whose value graph is cyclic, or None if t has none.
 
     Follows a route ending in a repeated object node; the repeat ties the
@@ -217,7 +211,7 @@ def _forced_cyclic(t, kids, wit):
     are made in one forward pass and filled in one backward pass, so a
     long cycle costs no recursion.
     """
-    route = _find_obj_cycle(t, kids)
+    route = _find_obj_cycle(t, kids, on_cycle)
     if route is None:
         return None
     # the object value made for each route position, None for unions
@@ -394,10 +388,10 @@ def sample_values(t, count, seed):
     emit(wit(t))
     if len(out) == count:
         return out
-    kids, fixed = _viable_closure(t, live)
+    kids, fixed, on_cycle = _viable_graph(t, live)
     if t in fixed:
         return out
-    emit(_forced_cyclic(t, kids, wit))
+    emit(_forced_cyclic(t, kids, on_cycle, wit))
     # one step more than the inhabited closure lets a walk reach every
     # node of it, so deep leaves get random values too
     budget = max(WALK_BUDGET, len(live) + 1)

@@ -258,6 +258,69 @@ def test_unify_empty_list_and_empty_record():
 
 
 # ---------------------------------------------------------------------------
+# rows: what a list or record spine spells
+
+def cyclic_list(item):
+    tail = Var("T")
+    tail.ref = ListTerm([item], tail)
+    return tail.ref
+
+
+def bound_key(name):
+    key = Var("K")
+    key.ref = Const(name)
+    return key
+
+
+@pytest.mark.parametrize("make, other, text", [
+    (lambda: ListTerm([Const("a")], Record([("f", Const("int"))])),
+     lambda: ListTerm([Const("a")], Var("T")), "[a|[f:int]]"),
+    (lambda: Record([("f", Const("int"))], ListTerm([Const("a")])),
+     lambda: Record([("f", Const("int"))], Var("T")), "[f:int|[a]]"),
+    (lambda: cyclic_list(Const("a")),
+     lambda: ListTerm([Const("a"), Const("a")], Var("T")), "T0 where T0 = [a|T0]"),
+    (lambda: Record([(bound_key("f"), Const("a")), ("f", Const("int"))]),
+     lambda: Record([("f", Const("int"))]), "[f:a,f:int]"),
+], ids=["list_ending_in_a_record", "record_ending_in_a_list", "cyclic_list",
+        "bound_key_repeats_a_key"])
+def test_spines_that_spell_no_row(make, other, text):
+    """Such a spine is no list and no record: it neither unifies nor is
+    equal even with a copy of itself, nor unifies with an open row, and a
+    copy keeps it as written."""
+    a = make()
+    assert cosld_engine._row(a) is cosld_engine._FAIL
+    assert not logic_equal(a, make())
+    assert not unify_rational(a, make())
+    assert not unify_rational(a, other())
+    copy = copy_term(a)
+    assert type(copy) is type(a)
+    assert format_term_text(copy) == text
+
+
+def test_record_spine_through_an_empty_list():
+    rec = Record([("f", Const("int"))], ListTerm([], Record([("g", Const("a"))])))
+    flat = Record([("g", Const("a")), ("f", Const("int"))])
+    assert logic_equal(rec, flat)
+    assert format_term_text(copy_term(rec)) == "[f:int,g:a]"
+    tail = Var("T")
+    assert unify_rational(Record([("f", Const("int"))], ListTerm([], tail)), flat)
+    assert format_term_text(deref(tail)) == "[g:a]"
+
+
+@pytest.mark.parametrize("nil", [ListTerm([]), Record([])], ids=["list", "record"])
+def test_empty_row_against_an_open_empty_record(nil):
+    # the tail is bound to an empty list beside a list, an empty record
+    # beside a record
+    tail = Var("R")
+    rec = Record([], tail)
+    assert not logic_equal(nil, rec)
+    assert unify_rational(nil, rec)
+    assert type(deref(tail)) is type(nil)
+    assert logic_equal(nil, rec)
+    assert format_term_text(copy_term(rec)) == "[]"
+
+
+# ---------------------------------------------------------------------------
 # conversions
 
 def test_type_logic_round_trip():
@@ -470,6 +533,26 @@ def test_variance_table_must_cover_known_predicates():
     cfg = SolverConfig(variance={"frobnicate": ("inv", "co")})
     with pytest.raises(EngineError):
         solve(ground("class", "zero"), clauses, cfg)
+
+
+EVN_ODD = ("EVN = obj(zero,[]) \\/ obj(succ,[pred: ODD]); ODD = obj(succ,[pred: EVN]);"
+           " invoke(EVN, add, [ODD], R)")
+
+
+@pytest.mark.parametrize("table, message", [
+    (("inv", "bogus", "contra", "co"), "unknown variance 'bogus'"),
+    (("inv", "inv", "contra"), "variance entry for 'invoke' has 3 positions, not 4"),
+], ids=["unknown_name", "no_arity"])
+def test_a_bad_variance_table_is_refused_before_the_search(table, message, monkeypatch):
+    # a wrong length would turn subsumption off for the predicate, and an
+    # unknown name would surface only at the first subsumption attempt
+    def no_search(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(cosld_engine._Engine, "_proofs", no_search)
+    cfg = SolverConfig(variance={"invoke": table})
+    with pytest.raises(EngineError, match="^%s$" % re.escape(message)):
+        solve(parse_query(EVN_ODD), clauses_for(ZERO_SUCC), cfg)
 
 
 def test_check_answer_directions():

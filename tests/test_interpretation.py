@@ -6,7 +6,7 @@ import time
 import pytest
 
 from coinfer import interpretation, term_core
-from coinfer.emptiness import not_empty, witness
+from coinfer.emptiness import inhabited, not_empty, witness
 from coinfer.interpretation import member, sample_values
 from coinfer.term_core import (
     BudgetExceeded,
@@ -553,6 +553,81 @@ def test_forced_cyclic_member_on_a_long_cycle_does_not_recurse():
     vals = sample_values(t, 3, seed=0)
     assert len({canonicalize(v).uid for v in vals}) == 3
     assert all(member(v, t) for v in vals)
+
+
+# --- the sampler's one pass over the viable graph -------------------------------
+
+def viable_oracle(t, live):
+    """By brute force, one depth-first walk per node along viable edges (a
+    union's inhabited sides, an object's fields): the uids of the nodes t
+    reaches, of those that reach no int and no union with two inhabited
+    sides, and of the objects that reach themselves."""
+    def edges(n):
+        if type(n) is UnionType:
+            return [c for c in (n.left, n.right) if c.uid in live]
+        return list(n.fields.values()) if type(n) is ObjType else []
+
+    def reached(starts):
+        seen, todo = {}, list(starts)
+        while todo:
+            n = todo.pop()
+            if n.uid not in seen:
+                seen[n.uid] = n
+                todo += edges(n)
+        return seen
+
+    nodes = reached([t])
+    fixed = {u for u, n in nodes.items()
+             if not any(type(m) is IntType or type(m) is UnionType and len(edges(m)) == 2
+                        for m in reached([n]).values())}
+    cyclic = {u for u, n in nodes.items() if type(n) is ObjType and u in reached(edges(n))}
+    return set(nodes), fixed, cyclic
+
+
+def viable_shapes():
+    rng = seeded(31)
+    yield from (random_type(rng, rng.randint(2, 12)) for _ in range(400))
+    yield from (inflate(random_type(rng, rng.randint(2, 8)), rng) for _ in range(100))
+    yield from (fan(12), cyclic_chain(10), cyclic_chain(10, with_int=True), union_tower(10))
+    yield from (inflate(shape, rng) for shape in (fan(6), cyclic_chain(5), union_tower(5)))
+
+
+def test_viable_graph_agrees_with_brute_force():
+    cycles = 0
+    for t in viable_shapes():
+        live = inhabited(t)
+        if t.uid not in live:
+            continue
+        nodes, fixed, cyclic = viable_oracle(t, live)
+        kids, got_fixed, on_cycle = interpretation._viable_graph(t, live)
+        assert {n.uid for n in kids} == nodes
+        assert {n.uid for n in got_fixed} == fixed
+        assert sorted(n.uid for n in on_cycle) == sorted(cyclic)
+        route = interpretation._find_obj_cycle(t, kids, on_cycle)
+        if not cyclic:
+            assert route is None
+            continue
+        cycles += 1
+        assert route[0] is t and route[-1].uid == min(cyclic)
+        assert route[-1] in route[:-1]
+        assert all(b in kids[a] for a, b in zip(route, route[1:]))
+    assert cycles > 50
+
+
+def test_sample_values_walks_the_viable_graph_once(monkeypatch):
+    calls = []
+    components = interpretation._components
+
+    def counting(*args):
+        calls.append(args)
+        return components(*args)
+
+    monkeypatch.setattr(interpretation, "_components", counting)
+    for t in viable_shapes():
+        if not_empty(t):
+            del calls[:]
+            sample_values(t, 3, seed=2)
+            assert len(calls) <= 1
 
 
 # --- telling sampled values apart ---------------------------------------------

@@ -312,6 +312,32 @@ def test_oracle_agrees_on_cyclic_union_fields():
         assert subtype(t, u, memo_limit=100_000) == subtype_oracle(t, u)
 
 
+def test_every_judgment_lies_in_the_finite_judgment_space():
+    # the termination argument: a judgment pairs a node of the right
+    # root's closure with a node of the left root's closure or with a
+    # distribution variant, an object of a left-closure object's class and
+    # field names whose fields are all left-closure nodes
+    rng = seeded(29)
+    pairs = [(random_type(rng, rng.randint(1, 10)), random_type(rng, rng.randint(1, 10)))
+             for _ in range(400)]
+    pairs += [(u, t) for t, u in cyclic_union_field_pairs()]
+    variants = 0
+    for t1, t2 in pairs:
+        engine = _Engine(t1, t2, 100_000)
+        left = {n.uid for n in subterm_closure(canonicalize(t1))}
+        right = {n.uid for n in subterm_closure(canonicalize(t2))}
+        shapes = {(n.class_name, tuple(n.fields)) for n in subterm_closure(canonicalize(t1))
+                  if isinstance(n, ObjType)}
+        for l, r in engine.verdict:
+            assert r.uid in right
+            if l.uid not in left:
+                variants += 1
+                assert isinstance(l, ObjType)
+                assert (l.class_name, tuple(l.fields)) in shapes
+                assert all(f.uid in left for f in l.fields.values())
+    assert variants > 100
+
+
 def test_trace_serialization_shapes():
     d = derive(bot(), IntType())
     data = d.to_dict()
