@@ -44,18 +44,12 @@ def _read(path):
         return handle.read()
 
 
-def _load_type(path):
+def _load(path, value=False):
+    """The type, or with value the value, a file holds as JSON or as source."""
     text = _read(path)
     if text.lstrip().startswith("{"):
-        return type_from_json(text)
-    return type_from_source(text)
-
-
-def _load_value(path):
-    text = _read(path)
-    if text.lstrip().startswith("{"):
-        return value_from_json(text)
-    return value_from_source(text)
+        return value_from_json(text) if value else type_from_json(text)
+    return value_from_source(text) if value else type_from_source(text)
 
 
 def _emit_json(data):
@@ -63,18 +57,13 @@ def _emit_json(data):
 
 
 def cmd_parse(args):
-    if args.value:
-        term = _load_value(args.file)
-        printer = print_value
-    else:
-        term = _load_type(args.file)
-        printer = print_type
+    term = _load(args.file, args.value)
     if args.canonical:
         term = canonicalize(term)
     if args.format == "json":
         print(term_to_json(term))
     else:
-        print(printer(term))
+        print((print_value if args.value else print_type)(term))
     return 0
 
 
@@ -90,8 +79,8 @@ def cmd_compile(args):
 
 
 def cmd_subtype(args):
-    t1 = _load_type(args.left)
-    t2 = _load_type(args.right)
+    t1 = _load(args.left)
+    t2 = _load(args.right)
     derivation = None
     if args.trace:
         derivation = derive(t1, t2, memo_limit=args.memo_limit)
@@ -111,8 +100,8 @@ def cmd_subtype(args):
 
 
 def cmd_member(args):
-    v = _load_value(args.value_file)
-    t = _load_type(args.type_file)
+    v = _load(args.value_file, True)
+    t = _load(args.type_file)
     verdict = member(v, t, limit=args.memo_limit)
     if args.format == "json":
         _emit_json({"member": verdict})
@@ -122,7 +111,7 @@ def cmd_member(args):
 
 
 def cmd_empty(args):
-    t = _load_type(args.file)
+    t = _load(args.file)
     wit = witness(t) if args.witness else None
     inhabited = wit is not None if args.witness else not_empty(t)
     if args.format == "json":
@@ -138,7 +127,7 @@ def cmd_empty(args):
 
 
 def cmd_sample(args):
-    t = _load_type(args.file)
+    t = _load(args.file)
     try:
         values = sample_values(t, args.count, args.seed)
     except ValueError as exc:
@@ -191,7 +180,7 @@ def cmd_solve(args):
     if result.answers:
         if args.expect is None:
             return 0
-        expected = _load_type(args.expect)
+        expected = _load(args.expect)
         for answer in result.answers:
             try:
                 if check_answer(query, answer, expected):
@@ -209,10 +198,10 @@ def cmd_solve(args):
 def _build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("text", "json"), default="text")
-    shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--max-depth", type=int, default=64)
-    shared.add_argument("--memo-limit", type=int, default=DEFAULT_MEMO_LIMIT)
-    shared.add_argument("--trace", action="store_true")
+    options = {"--seed": {"type": int, "default": 0},
+               "--max-depth": {"type": int, "default": 64},
+               "--memo-limit": {"type": int, "default": DEFAULT_MEMO_LIMIT},
+               "--trace": {"action": "store_true"}}
 
     parser = argparse.ArgumentParser(
         prog="coinfer",
@@ -221,47 +210,44 @@ def _build_parser():
                     "class programs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", parents=[shared],
-                       help="parse a term file and reprint it")
+    def command(name, func, help, *own):
+        """A subcommand with --format and the options in own, the ones it reads."""
+        p = sub.add_parser(name, parents=[shared], help=help)
+        for option in own:
+            p.add_argument(option, **options[option])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("parse", cmd_parse, "parse a term file and reprint it")
     p.add_argument("file")
     p.add_argument("--value", action="store_true",
                    help="treat the input as a value term")
     p.add_argument("--canonical", action="store_true",
                    help="minimize the term graph before printing")
-    p.set_defaults(func=cmd_parse)
 
-    p = sub.add_parser("compile", parents=[shared],
-                       help="compile a class program to clauses")
+    p = command("compile", cmd_compile, "compile a class program to clauses")
     p.add_argument("file")
-    p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("subtype", parents=[shared],
-                       help="decide t1 <= t2 for two type files")
+    p = command("subtype", cmd_subtype, "decide t1 <= t2 for two type files",
+                "--memo-limit", "--trace")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=cmd_subtype)
 
-    p = sub.add_parser("member", parents=[shared],
-                       help="decide whether a value inhabits a type")
+    p = command("member", cmd_member, "decide whether a value inhabits a type", "--memo-limit")
     p.add_argument("value_file")
     p.add_argument("type_file")
-    p.set_defaults(func=cmd_member)
 
-    p = sub.add_parser("empty", parents=[shared],
-                       help="decide whether a type is uninhabited")
+    p = command("empty", cmd_empty, "decide whether a type is uninhabited")
     p.add_argument("file")
     p.add_argument("--witness", action="store_true",
                    help="also print an inhabitant when there is one")
-    p.set_defaults(func=cmd_empty)
 
-    p = sub.add_parser("sample", parents=[shared],
-                       help="sample distinct values of a type")
+    p = command("sample", cmd_sample, "sample distinct values of a type", "--seed")
     p.add_argument("file")
     p.add_argument("--count", type=int, default=10)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("solve", parents=[shared],
-                       help="run a query against a compiled class program")
+    p = command("solve", cmd_solve, "run a query against a compiled class program",
+                "--max-depth", "--trace")
     p.add_argument("file")
     p.add_argument("--query", required=True,
                    help="'NAME = type; ... atom' query text")
@@ -270,7 +256,6 @@ def _build_parser():
     p.add_argument("--no-subsumption", action="store_true",
                    help="disable the subsumption rule")
     p.add_argument("--max-answers", type=int, default=8)
-    p.set_defaults(func=cmd_solve)
 
     return parser
 

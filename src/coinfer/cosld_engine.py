@@ -474,6 +474,13 @@ def _to_type(t, stamped):
     return memo[id(deref(t))]
 
 
+def _ground_type(t):
+    """The canonical node of ground term t's type, a stamped term's stamp
+    taken as it stands; None when t is no ground type term."""
+    node = _to_type(t, True)
+    return None if node is None else canonicalize(node)
+
+
 def type_to_logic(t, memo=None, images=None):
     """Convert a type graph into a ground logic term, preserving cycles.
 
@@ -709,40 +716,29 @@ def _ground_head(head):
     return True
 
 
-def _first_key(t):
-    """Principal functor of a first argument, for clause indexing: the
-    constant's name, the constructor class of an obj, union or integer
-    term, or None for a variable, list or record (which may unify with
-    terms of other shapes)."""
+def _goal_key(atom):
+    """Key of a goal's first argument, for the ancestor check and clause
+    selection: the stamp of a stamped term, else the constant's name, the
+    integer, the class of an obj or union term, or None for a variable,
+    list or record, which may unify with terms of other shapes.  Two goals
+    whose keys do not meet (_KEY_KIND) cannot unify."""
+    if not atom.args:
+        return None
+    t = atom.args[0]
     while type(t) is Var and t.ref is not None:
         t = t.ref
     kind = type(t)
     if kind is Const:
         return t.name
-    if kind is ObjTerm or kind is UnionTerm or kind is IntTerm:
-        return kind
-    return None
-
-
-def _goal_key(atom):
-    """Key of a goal's first argument, for the ancestor check: the stamp
-    of a stamped term, else the constant's name, the integer, the class of
-    an obj or union term, or None for a variable, list or record.  Two
-    goals whose keys do not meet (_KEY_KIND) cannot unify."""
-    if not atom.args:
-        return None
-    t = deref(atom.args[0])
-    kind = type(t)
     if kind is ObjTerm or kind is UnionTerm:
         return kind if t.stamp is None else t.stamp
-    if kind is Const:
-        return t.name
     if kind is IntTerm:
         return t.value
     return None
 
 
-# the term class of a stamp: a stamped term meets an unstamped one of its class
+# the term class of a stamp: a stamped term meets an unstamped one of its
+# class, and is indexed under that class
 _KEY_KIND = {ObjType: ObjTerm, UnionType: UnionTerm}
 
 
@@ -751,7 +747,8 @@ class _Engine:
         self.config = config
         # First-argument index: (pred, arity) -> (all clauses, {key: the
         # clauses with that key or none}, the clauses with no key), each
-        # list in clause order.
+        # list in clause order; a head's key is its _goal_key, a stamp
+        # filed under its term class.
         self.index = {}
         # predicates defined by ground facts alone (class, extends, dec_*,
         # not_dec_*): a goal on one with constant arguments binds nothing
@@ -766,12 +763,13 @@ class _Engine:
                 entry = self.index[pk] = ([], {}, [])
             every, by_key, unkeyed = entry
             every.append(c)
-            key = _first_key(args[0]) if args else None
+            key = _goal_key(c.head)
             if key is None:
                 unkeyed.append(c)
                 for into in by_key.values():
                     into.append(c)
             else:
+                key = _KEY_KIND.get(type(key), key)
                 into = by_key.get(key)
                 if into is None:
                     into = by_key[key] = list(unkeyed)
@@ -800,15 +798,18 @@ class _Engine:
         self.depth_hit = False
         self.steps_exhausted = False
 
-    def _candidates(self, atom):
+    def _candidates(self, atom, key):
+        """The clauses that may resolve atom, in clause order, given its
+        _goal_key: every clause of its predicate when key is None, else
+        the clauses indexed under the key, a stamp under its term class,
+        and the unkeyed ones."""
         entry = self.index.get((atom.pred, len(atom.args)))
         if entry is None:
             return ()
         every, by_key, unkeyed = entry
-        key = _first_key(atom.args[0]) if atom.args else None
         if key is None:
             return every
-        return by_key.get(key, unkeyed)
+        return by_key.get(_KEY_KIND.get(type(key), key), unkeyed)
 
     def _bound_fact(self, atom):
         return ((atom.pred, len(atom.args)) in self.fact_preds
@@ -831,15 +832,16 @@ class _Engine:
                     and rs[3] is None and rl[3] is None and len(rs[0]) == len(rl[0])):
                 todo += reversed(list(zip(rs[0], rl[0])))
                 continue
-            st, lt = _to_type(s, True), _to_type(l, True)
-            if st is not None and lt is not None:
-                pair = (canonicalize(st), canonicalize(lt))
+            st = _ground_type(s)
+            lt = None if st is None else _ground_type(l)
+            if lt is not None:
+                pair = (st, lt)
                 holds = self.verdicts.get(pair)
                 if holds is None:
-                    holds = self.verdicts[pair] = subtype(*pair)
+                    holds = self.verdicts[pair] = subtype(st, lt)
                 if not holds:
                     return False
-                obligations.append((st, lt))
+                obligations.append(pair)
             elif not _unify(small, large, self.trail, set()):
                 return False
         return True
@@ -905,7 +907,7 @@ class _Engine:
             self.depth_hit = True
             return
         child = (atom, anc, depth + 1, key)
-        for clause in self._candidates(atom):
+        for clause in self._candidates(atom, key):
             i = self.lookups.get(clause)
             for goal in (atom,) if i is None else _field_goals(atom, i):
                 mark = len(trail)
@@ -1246,30 +1248,20 @@ def _stamp_ground(built):
     one goal per alternative, each checked against the others as
     ancestors, and stamps make those checks identity tests.  Without a
     union the terms are met by one chain of goals, and stamping them costs
-    more than it saves.  A term is ground when each of its children is
-    int or stamped; its stamp is the canonical node of the node
-    logic_to_type would make of it, one hash-consing step over its
-    children's canonical nodes."""
+    more than it saves.  Only a term whose children are int or stamped is
+    converted, so its stamp is one hash-consing step over its children's
+    canonical nodes."""
     if not any(type(t) is UnionTerm for t in built):
         return
-
-    def stamp(t):
-        if type(t) is Const:
-            return canonicalize(IntType()) if t.name == "int" else None
-        return getattr(t, "stamp", None)
-
     for t in built:
         if type(t) is UnionTerm:
-            left, right = stamp(t.left), stamp(t.right)
-            node = left and right and UnionType(left, right)
+            kids = (t.left, t.right)
         else:
             row = _row(t.rec)
-            if type(t.cls) is not Const or row is _FAIL or row[0] or row[2] or row[3] is not None:
-                continue
-            fields = {k: stamp(v) for k, v in row[1].items()}
-            node = None not in fields.values() and ObjType(t.cls.name, fields)
-        if node:
-            t.stamp = canonicalize(node)
+            kids = () if row is _FAIL else row[1].values()
+        if all(getattr(k, "stamp", None) is not None or type(k) is Const and k.name == "int"
+               for k in kids):
+            t.stamp = _ground_type(t)
 
 
 # ---------------------------------------------------------------------------

@@ -359,10 +359,10 @@ class _ProgramParser(TokenParser):
         out = []
         if not self.at(")"):
             while True:
-                p = self.expect("IDENT")[1]
-                if p in out:
-                    self.err("duplicate parameter %s" % p)
-                out.append(p)
+                t = self.expect("IDENT")
+                if t[1] in out:
+                    self.err("duplicate parameter %s" % t[1], t)
+                out.append(t[1])
                 if self.at(","):
                     self.next()
                     continue
@@ -627,55 +627,31 @@ def _method_clause(c, m):
     return HornClause(head, atoms)
 
 
+def _declarations(dec, not_dec, all_classes, declared):
+    """The dec fact of each (class, member name) pair declared, in order,
+    then the not_dec fact of each class and member name, names in order of
+    first declaration, that no declaration pairs."""
+    names = dict.fromkeys(name for _, name in declared)
+    pairs = set(declared)
+    return ([HornClause(Atom(dec, [Const(c), Const(n)])) for c, n in declared]
+            + [HornClause(Atom(not_dec, [Const(c), Const(n)]))
+               for c in all_classes for n in names if (c, n) not in pairs])
+
+
 def compile_program(program):
     """Horn clauses for the program plus the fixed runtime set."""
-    out = []
-    out.append(HornClause(Atom("class", [Const("object")]), []))
-    for c in program.classes:
-        out.append(HornClause(Atom("class", [Const(c.name)]), []))
-    for c in program.classes:
-        out.append(HornClause(
-            Atom("extends", [Const(c.name), Const(c.superclass)]), []))
-    out.extend(_runtime_core())
-    for c in program.classes:
-        out.append(_constructor_clause(c))
-
     all_classes = ["object"] + [c.name for c in program.classes]
-    field_universe = []
-    for c in program.classes:
-        for f in c.fields:
-            if f not in field_universe:
-                field_universe.append(f)
-    declared_fields = {(c.name, f) for c in program.classes for f in c.fields}
-    for c in program.classes:
-        for f in c.fields:
-            out.append(HornClause(
-                Atom("dec_field", [Const(c.name), Const(f)]), []))
-    for cname in all_classes:
-        for f in field_universe:
-            if (cname, f) not in declared_fields:
-                out.append(HornClause(
-                    Atom("not_dec_field", [Const(cname), Const(f)]), []))
-    out.extend(_runtime_lookup_rules())
-
-    meth_universe = []
-    for c in program.classes:
-        for m in c.methods:
-            if m.name not in meth_universe:
-                meth_universe.append(m.name)
-    declared_meths = {(c.name, m.name) for c in program.classes for m in c.methods}
-    for c in program.classes:
-        for m in c.methods:
-            out.append(HornClause(
-                Atom("dec_meth", [Const(c.name), Const(m.name)]), []))
-    for cname in all_classes:
-        for mname in meth_universe:
-            if (cname, mname) not in declared_meths:
-                out.append(HornClause(
-                    Atom("not_dec_meth", [Const(cname), Const(mname)]), []))
-    for c in program.classes:
-        for m in c.methods:
-            out.append(_method_clause(c, m))
+    out = [HornClause(Atom("class", [Const(name)])) for name in all_classes]
+    out += [HornClause(Atom("extends", [Const(c.name), Const(c.superclass)]))
+            for c in program.classes]
+    out += _runtime_core()
+    out += [_constructor_clause(c) for c in program.classes]
+    out += _declarations("dec_field", "not_dec_field", all_classes,
+                         [(c.name, f) for c in program.classes for f in c.fields])
+    out += _runtime_lookup_rules()
+    out += _declarations("dec_meth", "not_dec_meth", all_classes,
+                         [(c.name, m.name) for c in program.classes for m in c.methods])
+    out += [_method_clause(c, m) for c in program.classes for m in c.methods]
     cm, mm, am, rm, pm = Var("C"), Var("M"), Var("A"), Var("R"), Var("P")
     out.append(HornClause(
         Atom("has_meth", [cm, mm, am, rm]),

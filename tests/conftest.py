@@ -298,7 +298,7 @@ def reference_solve(query, clauses, config=None):
                 self.depth_hit = True
                 return
             child = (atom, anc, depth + 1)
-            for clause in self._candidates(atom):
+            for clause in self._candidates(atom, ce._goal_key(atom)):
                 mark = len(self.trail)
                 m = ce._match_head(atom, clause.head, self.trail)
                 if m is not None:

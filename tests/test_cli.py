@@ -153,6 +153,44 @@ def test_budgets_below_one_are_usage_errors(tmp_path, capsys, argv, option):
     assert out == "" and err == "error: %s must be positive\n" % option
 
 
+# the options each subcommand reads besides --format, and a value for each
+_READS = {"parse": (), "compile": (), "subtype": ("--memo-limit", "--trace"),
+          "member": ("--memo-limit",), "empty": (), "sample": ("--seed",),
+          "solve": ("--max-depth", "--trace")}
+_OPTION_ARGS = {"--seed": ["1"], "--max-depth": ["8"], "--memo-limit": ["5"], "--trace": []}
+_DROPPED = [(c, o) for c in _READS for o in _OPTION_ARGS if o not in _READS[c]]
+
+
+def _command_argv(tmp_path, command):
+    """A call of the subcommand that runs to a verdict with no extra option."""
+    nat, evn = put(tmp_path, "nat.ty", NAT), put(tmp_path, "evn.ty", EVN)
+    prog = put(tmp_path, "zs.prog", ZERO_SUCC)
+    return {"parse": ["parse", nat], "compile": ["compile", prog],
+            "subtype": ["subtype", evn, nat],
+            "member": ["member", put(tmp_path, "zero.val", "V = obj(zero, []); root V;"), nat],
+            "empty": ["empty", nat], "sample": ["sample", nat, "--count", "1"],
+            "solve": ["solve", prog, "--query", ZER_QUERY]}[command]
+
+
+def test_each_subcommand_accepts_the_options_it_reads(tmp_path, capsys):
+    assert len(_DROPPED) == 22
+    for command, options in _READS.items():
+        for option in options:
+            argv = _command_argv(tmp_path, command) + [option] + _OPTION_ARGS[option]
+            assert main(argv) in (0, 1, 3), argv  # a memo limit of 5 may run out
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, option", _DROPPED)
+def test_an_option_a_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, command, option):
+    argv = _command_argv(tmp_path, command)
+    assert main(argv) in (0, 1)
+    capsys.readouterr()
+    assert main(argv + [option] + _OPTION_ARGS[option]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: %s" % option in err
+
+
 def test_empty_bottom_prints_empty(tmp_path, capsys):
     bot = put(tmp_path, "bot.ty", BOT)
     assert main(["empty", bot]) == 1

@@ -1032,6 +1032,29 @@ def test_goal_key(term, key):
     assert cosld_engine._goal_key(Atom("p", [])) is None
 
 
+def test_integer_first_arguments_select_clauses_by_value(monkeypatch):
+    # the goal key indexes clauses: an integer selects the facts with its
+    # value (and the unkeyed ones), not every integer-headed fact
+    clauses = [HornClause(Atom("p", [IntTerm(k)])) for k in (1, 2, 3)]
+    cfg = SolverConfig(variance={})  # no invoke clause
+    calls = []
+    match_head = cosld_engine._match_head
+
+    def counting(goal, head, trail):
+        calls.append(head)
+        return match_head(goal, head, trail)
+
+    monkeypatch.setattr(cosld_engine, "_match_head", counting)
+    res = solve(Atom("p", [IntTerm(2)]), clauses, cfg)
+    assert len(calls) == 1 and calls[0] is clauses[1].head
+    monkeypatch.undo()
+    for goal in (Atom("p", [IntTerm(2)]), Atom("p", [Var("X")])):
+        assert _outcome(solve(goal, clauses, cfg)) == _outcome(reference_solve(goal, clauses, cfg))
+    assert [format_answer(a) for a in solve(Atom("p", [Var("X")]), clauses, cfg).answers] == [
+        "X = 1", "X = 2", "X = 3"]
+    assert [format_answer(a) for a in res.answers] == ["p(2)"]
+
+
 # ---------------------------------------------------------------------------
 # ground-fact-first selection, linear in the body
 

@@ -130,6 +130,17 @@ def test_duplicate_field_rejected():
         parse_program("class A { f; f; }")
 
 
+@pytest.mark.parametrize("source, col", [
+    ("class A { m(x, x) { return x; } }", 16),
+    ("class A { f; A(x, x) { this.f = x; } }", 19),
+])
+def test_duplicate_parameter_reported_at_its_name(source, col):
+    # as a duplicate field is: at the repeated name, not the token after it
+    assert source[col - 1] == "x" and source[col] == ")"
+    with pytest.raises(ProgramError, match="^line 1, col %d: duplicate parameter x$" % col):
+        parse_program(source)
+
+
 def test_duplicate_method_rejected():
     with pytest.raises(ProgramError):
         parse_program("class A { m() { return this; } m() { return this; } }")
