@@ -515,7 +515,7 @@ def type_to_logic(t, memo=None, images=None):
         if type(n) is UnionType:
             term.left, term.right = memo[id(n.left)], memo[id(n.right)]
         else:
-            term.rec = Record([(k, memo[id(v)]) for k, v in sorted(n.fields.items())])
+            term.rec = Record([(k, memo[id(v)]) for k, v in n.fields.items()])
         if images is not None:
             term.stamp = images[n.uid]
     return memo[id(t)]
@@ -782,6 +782,8 @@ class _Engine:
         for pred, table in config.variance.items():
             arities = sorted(n for p, n in self.index if p == pred)
             if not arities:
+                if config.variance is DEFAULT_VARIANCE:
+                    continue  # the default table names invoke, which hand-built sets may lack
                 raise EngineError("variance entry for undeclared predicate %r" % pred)
             for v in table:
                 if v not in ("inv", "co", "contra"):
@@ -991,48 +993,34 @@ def _capture(atom, qvars):
 
 
 def solve(query, clauses, config=None):
-    """Run the query against the clause set.  The result carries every
-    distinct answer found in the first productive deepening stage, whether
-    the search space was exhausted (complete), and whether the depth budget
-    pruned anything (depth_hit)."""
+    """Run the query against the clause set, one deepening stage after
+    another, and return from the first stage that finds an answer or
+    prunes nothing, else from the last.  The result carries that stage's
+    distinct answers, up to max_answers; whether the search space was
+    exhausted (complete: nothing pruned and fewer answers than the cap);
+    and whether the depth or step budget pruned anything (depth_hit)."""
     if config is None:
         config = SolverConfig()
     atom = query.atom if isinstance(query, Query) else query
     engine = _Engine(clauses, config)
     qvars = list(_vars(atom.args))
-    answers = []
-    complete = False
-    depth_hit_any = False
-    final_hit = False
     for limit in _stages(config):
         engine.depth_hit = False
         engine.steps_exhausted = False
-        stage_answers = []
-        cap_hit = False
+        answers = []
         try:
             for _ in engine._proofs(atom, limit):
                 ans = _capture(atom, qvars)
-                if not any(_atoms_equal(ans.atom, old.atom)
-                           for old in stage_answers):
-                    stage_answers.append(ans)
-                    if len(stage_answers) >= config.max_answers:
-                        cap_hit = True
+                if not any(_atoms_equal(ans.atom, old.atom) for old in answers):
+                    answers.append(ans)
+                    if len(answers) >= config.max_answers:
                         break
         finally:
             _undo(engine.trail, 0)
         pruned = engine.depth_hit or engine.steps_exhausted
-        depth_hit_any = depth_hit_any or pruned
-        clean = not pruned and not cap_hit
-        if stage_answers or clean:
-            answers = stage_answers
-            complete = clean
-            final_hit = pruned
-            break
-    else:
-        final_hit = depth_hit_any
-        complete = False
-    return SolveResult(answers, complete, final_hit, engine.steps,
-                       engine.subsumptions)
+        if answers or not pruned or limit == config.max_depth:
+            return SolveResult(answers, not pruned and len(answers) < config.max_answers,
+                               pruned, engine.steps, engine.subsumptions)
 
 
 def check_answer(query, answer, expected):

@@ -146,7 +146,7 @@ def _witness(node, live, memo, rank):
                 v = memo[n.uid]
             else:
                 v = memo[n.uid] = ObjValue(n.class_name)
-                todo.append((v.fields, sorted(n.fields.items())))
+                todo.append((v.fields, n.fields.items()))
             for u in chain:
                 memo[u] = v
             fields[f] = v

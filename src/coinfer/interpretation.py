@@ -147,18 +147,20 @@ def _member_fixpoint(v, t, limit=DEFAULT_LIMIT):
 def _viable_graph(t, live):
     """The part of t's graph the sampler walks, read in one SCC pass:
     node -> viable children (a union's inhabited sides, an object's
-    fields in name order) for the nodes t reaches through viable edges;
-    the set of those that reach no int and no union with two inhabited
-    sides, marked bottom-up by component; and the object nodes on a
-    cycle.  The sampler builds objects with exactly the type's fields,
-    so all it can build for a node of the set is the node's witness."""
+    fields) for the nodes t reaches through viable edges; the set of
+    those that reach no int and no union whose two inhabited sides are
+    different nodes, marked bottom-up by component; and the object nodes
+    on a cycle.  The sampler builds objects with exactly the type's
+    fields, so all it can build for a node of the set is the node's
+    witness.  Sides that are different but bisimilar nodes still count
+    as a choice: the graph is not canonicalized here."""
     kids = {}
 
     def viable(n):
         if type(n) is UnionType:
             ks = [c for c in (n.left, n.right) if c.uid in live]
         elif type(n) is ObjType:
-            ks = [n.fields[f] for f in sorted(n.fields)]
+            ks = list(n.fields.values())
         else:
             ks = []
         kids[n] = ks
@@ -166,8 +168,9 @@ def _viable_graph(t, live):
 
     reach, on_cycle = set(), []
     for scc in _components([t], viable):
-        if any(type(n) is IntType or len(kids[n]) == 2 and type(n) is UnionType
-               or not reach.isdisjoint(kids[n]) for n in scc):
+        if any(type(n) is IntType or not reach.isdisjoint(kids[n])
+               or type(n) is UnionType and len(kids[n]) == 2 and kids[n][0] is not kids[n][1]
+               for n in scc):
             reach.update(scc)
         if len(scc) > 1 or scc[0] in kids[scc[0]]:
             on_cycle += [n for n in scc if type(n) is ObjType]
@@ -215,16 +218,16 @@ def _forced_cyclic(t, kids, on_cycle, wit):
     if route is None:
         return None
     # the object value made for each route position, None for unions
-    vals = [ObjValue(n.class_name) if isinstance(n, ObjType) else None for n in route[:-1]]
+    vals = [ObjValue(n.class_name) if type(n) is ObjType else None for n in route[:-1]]
     nxt_val = vals[route.index(route[-1])]  # the value of route[i + 1]; unions pass it through
     for i in range(len(vals) - 1, -1, -1):
         val = vals[i]
         if val is None:
             continue
         node, nxt = route[i], route[i + 1]
-        route_field = next(f for f in sorted(node.fields) if node.fields[f] is nxt)
-        for f in sorted(node.fields):
-            val.fields[f] = nxt_val if f == route_field else wit(node.fields[f])
+        route_field = next(f for f, c in node.fields.items() if c is nxt)
+        for f, c in node.fields.items():
+            val.fields[f] = nxt_val if f == route_field else wit(c)
         nxt_val = val
     return nxt_val
 
@@ -246,9 +249,9 @@ def _random_walk(t, rng, kids, wit, max_nodes, fixed):
             budget -= 1
         if budget <= 0 or node in fixed:
             val = wit(node)
-        elif isinstance(node, IntType):
+        elif type(node) is IntType:
             val = IntValue(rng.randint(-999, 999))
-        elif isinstance(node, UnionType):
+        elif type(node) is UnionType:
             node = rng.choice(kids[node])
             continue
         elif pending.get(node.uid) and rng.random() < 0.25:
@@ -256,7 +259,7 @@ def _random_walk(t, rng, kids, wit, max_nodes, fixed):
         else:
             val = ObjValue(node.class_name)
             pending.setdefault(node.uid, []).append(val)
-            stack.append((node, val, deque(sorted(node.fields))))
+            stack.append((node, val, deque(node.fields)))
             val = None
         while stack:
             obj, into, todo = stack[-1]
@@ -364,8 +367,8 @@ def sample_values(t, count, seed):
 
     The canonical witness comes first, then a cyclic member when the type
     admits one, then random walks.  When t reaches no int and no union
-    with two inhabited sides, the sampler has no choice, and it returns
-    the witness alone, since it could build nothing else.  Raises
+    with two different inhabited sides, the sampler has no choice, and it
+    returns the witness alone, since it could build nothing else.  Raises
     ValueError on an empty type.  Every emitted value is re-checked with
     member.
     """

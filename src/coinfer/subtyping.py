@@ -175,33 +175,31 @@ class _Engine:
         side of the union, or None when no field is a union."""
         if l.uid in self.splits:
             return self.splits[l.uid]
-        fname = next((f for f in sorted(l.fields)
-                      if isinstance(l.fields[f], UnionType)), None)
         split = None
-        if fname is not None:
-            u = l.fields[fname]
-            split = (self._variant(l, fname, u.left), self._variant(l, fname, u.right))
+        for fname, u in l.fields.items():
+            if type(u) is UnionType:
+                split = (self._variant(l, fname, u.left), self._variant(l, fname, u.right))
+                break
         self.splits[l.uid] = split
         return split
 
     def _options(self, l, r):
-        if isinstance(l, UnionType):
+        if type(l) is UnionType:
             return [(R_OR_L, [(l.left, r), (l.right, r)])]
         if l.uid not in self.live:
             return [(R_EMPTY, [])]
         opts = []
-        if isinstance(l, IntType):
-            if isinstance(r, IntType):
+        if type(l) is IntType:
+            if type(r) is IntType:
                 opts.append((R_INT, []))
         else:
             split = self._split(l)
             if split is not None:
                 opts.append((R_DISTR, [(split[0], r), (split[1], r)]))
-            if (isinstance(r, ObjType) and r.class_name == l.class_name
+            if (type(r) is ObjType and r.class_name == l.class_name
                     and r.fields.keys() <= l.fields.keys()):
-                opts.append((R_OBJ, [(l.fields[f], r.fields[f])
-                                     for f in sorted(r.fields)]))
-        if isinstance(r, UnionType):
+                opts.append((R_OBJ, [(l.fields[f], c) for f, c in r.fields.items()]))
+        if type(r) is UnionType:
             opts.append((R_OR_R1, [(l, r.left)]))
             opts.append((R_OR_R2, [(l, r.right)]))
         return opts

@@ -54,12 +54,17 @@ class IntType(TypeTerm):
 
 
 class ObjType(TypeTerm):
+    """An object type: a class and a record of field types.  A record has
+    no order, so a node's fields dict (name -> node) is kept in name order
+    from where the node is made, here, in link_equations and in _attach;
+    every walker reads the fields as stored.  Code that fills or assigns
+    fields itself must keep that order.  ObjValue keeps the same rule."""
+
     __slots__ = ("class_name", "fields")
 
     def __init__(self, class_name, fields=None):
         self.uid = next(_uids)
         self.class_name = class_name
-        # field name -> TypeTerm, kept sorted by name
         self.fields = dict(sorted(fields.items())) if fields else {}
 
     def __repr__(self):
@@ -111,25 +116,19 @@ class ObjValue(ValueTerm):
 _CHILDREN = {
     IntType: lambda node: (),
     UnionType: lambda node: (node.left, node.right),
-    ObjType: lambda node: tuple([node.fields[f] for f in sorted(node.fields)]),
+    ObjType: lambda node: tuple(node.fields.values()),
     IntValue: lambda node: (),
-    ObjValue: lambda node: tuple([node.fields[f] for f in sorted(node.fields)]),
+    ObjValue: lambda node: tuple(node.fields.values()),
 }
-
-
-def _obj_local(tag):
-    def local(node):
-        names = sorted(node.fields)
-        return (tag, node.class_name, tuple(names)), tuple([node.fields[f] for f in names])
-    return local
-
 
 _LOCAL = {  # (local constructor signature, ignoring children; the children)
     IntType: lambda node: (("int",), ()),
     UnionType: lambda node: (("union",), (node.left, node.right)),
-    ObjType: _obj_local("obj"),
+    ObjType: lambda node: (("obj", node.class_name, tuple(node.fields)),
+                           tuple(node.fields.values())),
     IntValue: lambda node: (("intval", node.value), ()),
-    ObjValue: _obj_local("objval"),
+    ObjValue: lambda node: (("objval", node.class_name, tuple(node.fields)),
+                            tuple(node.fields.values())),
 }
 
 
@@ -1007,17 +1006,18 @@ def _format_term(root, values):
 
     def parts(n, parens):
         """n written out: text, and (child, in parentheses) for each child."""
-        if isinstance(n, IntType):
+        kind = type(n)
+        if kind is IntType:
             return ["int"]
-        if isinstance(n, IntValue):
+        if kind is IntValue:
             return [str(n.value)]
-        if isinstance(n, (ObjType, ObjValue)):
-            out = ["obj(%s, [" % n.class_name]
-            for k, f in enumerate(sorted(n.fields)):
-                out += [", " * (k > 0) + f + sep, (n.fields[f], False)]
-            return out + ["])"]
-        out = [(n.left, True), " \\/ ", (n.right, False)]
-        return ["("] + out + [")"] if parens else out
+        if kind is UnionType:
+            out = [(n.left, True), " \\/ ", (n.right, False)]
+            return ["("] + out + [")"] if parens else out
+        out = ["obj(%s, [" % n.class_name]
+        for k, (f, c) in enumerate(n.fields.items()):
+            out += [", " * (k > 0) + f + sep, (c, False)]
+        return out + ["])"]
 
     lines = []
     for node in order:
@@ -1025,7 +1025,7 @@ def _format_term(root, values):
         todo = parts(node, False)[::-1]
         while todo:
             item = todo.pop()
-            if isinstance(item, str):
+            if type(item) is str:
                 text.append(item)
             elif item[0].uid in names:
                 text.append(names[item[0].uid])
@@ -1083,10 +1083,10 @@ def term_to_dict(t):
                 expr = {"kind": "union", "left": None, "right": None}
                 kids = ((n.right, expr, "right"), (n.left, expr, "left"))
             else:
-                fields = dict.fromkeys(sorted(n.fields))
+                fields = dict.fromkeys(n.fields)
                 expr = {"kind": "objval" if kind is ObjValue else "obj",
                         "class": n.class_name, "fields": fields}
-                kids = [(n.fields[f], fields, f) for f in reversed(fields)]
+                kids = [(c, fields, f) for f, c in reversed(n.fields.items())]
             holder[key] = expr
             for c, into, slot in kids:
                 if c.uid in names:

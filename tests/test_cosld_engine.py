@@ -555,6 +555,17 @@ def test_a_bad_variance_table_is_refused_before_the_search(table, message, monke
         solve(parse_query(EVN_ODD), clauses_for(ZERO_SUCC), cfg)
 
 
+def test_the_default_variance_table_passes_over_an_undefined_invoke():
+    # the default table names invoke, which a hand-built clause set need
+    # not define; a table the caller passes is still checked in full
+    clauses = [HornClause(Atom("p", [IntTerm(k)])) for k in (1, 2, 3)]
+    res = solve(Atom("p", [IntTerm(2)]), clauses)
+    assert [format_answer(a) for a in res.answers] == ["p(2)"] and res.complete
+    with pytest.raises(EngineError, match="^variance entry for undeclared predicate 'invoke'$"):
+        solve(Atom("p", [IntTerm(2)]), clauses,
+              SolverConfig(variance=cosld_engine.DEFAULT_VARIANCE))
+
+
 def test_check_answer_directions():
     clauses = clauses_for(ZERO_SUCC)
     types = number_types()

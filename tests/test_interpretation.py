@@ -560,8 +560,8 @@ def test_forced_cyclic_member_on_a_long_cycle_does_not_recurse():
 def viable_oracle(t, live):
     """By brute force, one depth-first walk per node along viable edges (a
     union's inhabited sides, an object's fields): the uids of the nodes t
-    reaches, of those that reach no int and no union with two inhabited
-    sides, and of the objects that reach themselves."""
+    reaches, of those that reach no int and no union whose two inhabited
+    sides are different nodes, and of the objects that reach themselves."""
     def edges(n):
         if type(n) is UnionType:
             return [c for c in (n.left, n.right) if c.uid in live]
@@ -578,7 +578,8 @@ def viable_oracle(t, live):
 
     nodes = reached([t])
     fixed = {u for u, n in nodes.items()
-             if not any(type(m) is IntType or type(m) is UnionType and len(edges(m)) == 2
+             if not any(type(m) is IntType or type(m) is UnionType
+                        and len({c.uid for c in edges(m)}) == 2
                         for m in reached([n]).values())}
     cyclic = {u for u, n in nodes.items() if type(n) is ObjType and u in reached(edges(n))}
     return set(nodes), fixed, cyclic
@@ -612,6 +613,21 @@ def test_viable_graph_agrees_with_brute_force():
         assert route[-1] in route[:-1]
         assert all(b in kids[a] for a, b in zip(route, route[1:]))
     assert cycles > 50
+
+
+def test_a_union_of_one_node_twice_is_no_choice():
+    # N7 = N4 \/ N4 offers the walks nothing to choose: the N4..N7 cycle
+    # takes its witness at no cost, so the walks reach the root's int field
+    # instead of spending their budget there and always taking h -> 0
+    t = type_from_source(
+        "N0 = obj(b, [f: N3, g: N2, h: N1]); N1 = int; N2 = obj(b, [g: N2, h: N4]);"
+        " N3 = obj(c, [h: N5]); N4 = obj(c, [f: N6, h: N7]); N5 = obj(c, [f: N6, h: N7]);"
+        " N6 = obj(a, [h: N7]); N7 = N4 \\/ N4; root N0;")
+    live = inhabited(t)
+    kids, fixed, _ = interpretation._viable_graph(t, live)
+    assert kids.keys() - fixed == {t, t.fields["h"]}
+    for seed in range(5):
+        assert len(sample_values(t, 3, seed)) == 3
 
 
 def test_sample_values_walks_the_viable_graph_once(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -1040,3 +1041,137 @@ def test_threads_get_one_node_per_class():
         assert len(nodes) == len(types) and all(a is b for a, b in zip(nodes, got[0]))
     for t, c in zip(types, got[0]):
         assert trees_equal_oracle(t, c) and canonicalize(inflate(t, rng)) is c
+
+
+# --- every object node keeps its fields in name order -------------------------
+
+def _shuffled_nodes(t, rng):
+    """t's closure, a name per node, and each object's fields in a random
+    order, for writing t out with its fields out of name order."""
+    nodes = subterm_closure(t)
+    name = {n.uid: "N%d" % k for k, n in enumerate(nodes)}
+    fields = {}
+    for n in nodes:
+        if type(n) in (ObjType, ObjValue):
+            fields[n.uid] = list(n.fields.items())
+            rng.shuffle(fields[n.uid])
+    return nodes, name, fields
+
+
+_FIELD_NAMES = re.compile(r"(\w+): ")
+
+
+def _shuffled_source(t, rng):
+    nodes, name, fields = _shuffled_nodes(t, rng)
+    sep = " -> " if isinstance(t, (IntValue, ObjValue)) else ": "
+    lines = []
+    for n in nodes:
+        if type(n) is IntType:
+            rhs = "int"
+        elif type(n) is IntValue:
+            rhs = str(n.value)
+        elif type(n) is UnionType:
+            rhs = "%s \\/ %s" % (name[n.left.uid], name[n.right.uid])
+        else:
+            rhs = "obj(%s, [%s])" % (n.class_name, ", ".join(
+                f + sep + name[c.uid] for f, c in fields[n.uid]))
+        lines.append("%s = %s;" % (name[n.uid], rhs))
+    return "\n".join(lines) + "\nroot N0"
+
+
+def _shuffled_json(t, rng):
+    nodes, name, fields = _shuffled_nodes(t, rng)
+
+    def ref(c):
+        return {"kind": "ref", "name": name[c.uid]}
+
+    bindings = {}
+    for n in nodes:
+        if type(n) is IntType:
+            expr = {"kind": "int"}
+        elif type(n) is IntValue:
+            expr = {"kind": "intval", "value": n.value}
+        elif type(n) is UnionType:
+            expr = {"kind": "union", "left": ref(n.left), "right": ref(n.right)}
+        else:
+            expr = {"kind": "obj" if type(n) is ObjType else "objval", "class": n.class_name,
+                    "fields": {f: ref(c) for f, c in fields[n.uid]}}
+        bindings[name[n.uid]] = expr
+    return json.dumps({"root": "N0", "bindings": bindings})
+
+
+def _shuffled_logic(t, rng):
+    """type_to_logic(t) with each record's pairs in a random order."""
+    from coinfer.cosld_engine import type_to_logic
+    from coinfer.horn_compiler import ObjTerm, UnionTerm
+
+    term = type_to_logic(t)
+    seen, todo = set(), [term]
+    while todo:
+        s = todo.pop()
+        if id(s) in seen:
+            continue
+        seen.add(id(s))
+        if type(s) is ObjTerm:
+            rng.shuffle(s.rec.pairs)
+            todo += [v for _, v in s.rec.pairs]
+        elif type(s) is UnionTerm:
+            todo += (s.left, s.right)
+    return term
+
+
+def test_every_object_node_keeps_its_fields_in_name_order(monkeypatch):
+    # the readers, canonicalize's two ways of making nodes, distribution
+    # variants, logic_to_type, witness and the sampler all make objects
+    # whose fields dict is in name order, whatever order they read
+    from coinfer import subtyping, term_core
+    from coinfer.cosld_engine import logic_to_type
+    from coinfer.emptiness import witness
+
+    made = {"_intern": [], "_add_component": []}
+    for fn, out in made.items():
+        def recording(*args, _fn=getattr(term_core, fn), _out=out):
+            node = _fn(*args)
+            _out.append(node)
+            return node
+        monkeypatch.setattr(term_core, fn, recording)
+
+    def check(*roots):
+        for root in roots:
+            for n in subterm_closure(root):
+                if type(n) in (ObjType, ObjValue):
+                    assert list(n.fields) == sorted(n.fields), n
+
+    rng = seeded(2525)
+    names = ("f", "g", "h", "k", "m")
+    variants = out_of_order = 0
+    for k in range(200):
+        t = random_type(rng, rng.randint(2, 10))
+        nodes = subterm_closure(t)
+        for n in nodes:  # wider records than random_type draws
+            if type(n) is ObjType and rng.random() < 0.5:
+                n.fields = {f: rng.choice(nodes)
+                            for f in sorted(rng.sample(names, rng.randint(2, len(names))))}
+        source = _shuffled_source(t, rng)
+        out_of_order += any(fs != sorted(fs) for fs in map(_FIELD_NAMES.findall, source.split(";")))
+        read = type_from_source(source)
+        v = random_value(rng, rng.randint(1, 8))
+        got = [read, type_from_json(_shuffled_json(t, rng)),
+               value_from_source(_shuffled_source(v, rng)),
+               value_from_json(_shuffled_json(v, rng)),
+               canonicalize(read), canonicalize(inflate(read, rng)),
+               logic_to_type(_shuffled_logic(t, rng))]
+        check(*got)
+        assert equal(got[0], t) and equal(got[1], t) and equal(got[6], t)
+        w = witness(t)
+        if w is not None:
+            check(w, *sample_values(t, 3, seed=k))
+        engine = subtyping._Engine(t, random_type(rng, rng.randint(2, 8)), 100_000)
+        for split in engine.splits.values():
+            if split is not None:
+                variants += 1
+                check(*split)
+    check(*made["_intern"], *made["_add_component"])
+    assert out_of_order > 40
+    assert len(made["_intern"]) > 100 and len(made["_add_component"]) > 20
+    assert variants > 20
